@@ -19,8 +19,15 @@ byte-identical to the serial run.  shm pays a fixed per-chunk cost
 pipe / deserialise), so it wins where the ROADMAP predicted: large
 chunks.
 
+The ``l0`` lane is the paper's Theorem 2 sampler: its fused
+``update_many`` is one cross-level pass (shared syndrome power terms
+summed per survival-depth bucket, byte-window fingerprint tables)
+against the per-level ``_reference_update_many``, which runs one
+Python-big-int syndrome recovery update per level.
+
 Hard floors (also enforced by the CI smoke): fused >= 2x reference on
-count-sketch at batch 4096; fused >= reference for every hashed-table
+count-sketch at batch 4096; fused >= 5x reference on the L0 sampler at
+batch >= 4096; fused >= reference for every hashed-table
 sketch at batch 4096 (the p-stable sketch is transcendental-bound, so
 its fused path is only asserted not to regress past 0.85x — the
 stacked pass exists there for API uniformity and wins modestly at
@@ -36,6 +43,7 @@ import time
 
 import numpy as np
 
+from repro.core import L0Sampler
 from repro.engine import ShardedPipeline, state_arrays
 from repro.sketch import AMSSketch, CountMin, CountSketch, StableSketch
 
@@ -56,6 +64,7 @@ KERNEL_SKETCHES = {
     "ams": lambda: AMSSketch(KERNEL_UNIVERSE, groups=7, per_group=6,
                              seed=5),
     "stable": lambda: StableSketch(KERNEL_UNIVERSE, 1.0, rows=15, seed=5),
+    "l0": lambda: L0Sampler(KERNEL_UNIVERSE, delta=0.1),
 }
 
 #: Minimum fused/reference throughput ratio per sketch at batch 4096.
@@ -64,6 +73,7 @@ KERNEL_FLOORS = {
     "count-min": 1.2,
     "ams": 1.2,
     "stable": 0.85,               # transcendental-bound; see module doc
+    "l0": 5.0,
 }
 
 TRANSPORT_UNIVERSE = 1 << 12

@@ -54,8 +54,10 @@ class LintConfig:
         "sketch/kernels.py", "sketch/count_sketch.py",
         "sketch/count_min.py", "sketch/ams.py", "sketch/stable.py",
         "hashing/field.py", "hashing/kwise.py", "hashing/prng.py")
-    #: Subtrees whose concrete ``update_many`` needs an oracle (R003).
-    kernel_paths: tuple = ("sketch",)
+    #: Subtrees and modules whose concrete ``update_many`` needs an
+    #: oracle (R003): the sketches plus the fused L0 sampler path.
+    kernel_paths: tuple = ("sketch", "core/l0_sampler.py",
+                           "recovery/syndrome.py")
     #: Test files that must reach every fused path (R003), root-relative.
     kernel_tests: tuple = ("tests/test_kernels.py",)
     #: The registry/checkpoint modules (package-relative) R002/R005 read.

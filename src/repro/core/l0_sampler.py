@@ -32,11 +32,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..hashing.field import mod_inplace
 from ..hashing.kwise import SubsetHash, derive_rngs
 from ..hashing.nisan import NisanPRG
 from ..recovery.syndrome import SyndromeSparseRecovery
 from ..space.accounting import SpaceReport
 from .base import SampleResult, StreamingSampler
+
+#: Items per fused ingest block: bounds the ``(2s, block)`` uint64
+#: power-term scratch (2.8 MiB at s = 11) and keeps every prefix sum
+#: far below the ``2**33``-term exactness limit.
+_FUSED_BLOCK = 1 << 14
 
 
 class L0Sampler(StreamingSampler):
@@ -72,6 +78,11 @@ class L0Sampler(StreamingSampler):
                                    seed=int(rngs[2].integers(2**62)) + level)
             for level in range(self.levels)
         ]
+        # Fingerprint power tables: derived from the recoveries' seeds,
+        # built by the first ``update_many`` (never here: clones,
+        # snapshots and query copies are rebuilt through ``__init__``
+        # and never ingest), and never part of params or state.
+        self._fp_tables = None
 
     # -- level membership ----------------------------------------------------------
 
@@ -98,7 +109,112 @@ class L0Sampler(StreamingSampler):
     # -- streaming -------------------------------------------------------------------
 
     def update_many(self, indices, deltas) -> None:
-        """Feed updates to every level the coordinates survive to."""
+        """Feed updates to every level the coordinates survive to.
+
+        One fused pass over all levels, byte-identical to
+        :meth:`_reference_update_many`.  Levels are nested, so once the
+        batch is sorted deepest-first the items of level ``L`` are a
+        prefix of length ``n_L``.  The syndrome terms ``u * a^j`` do not
+        depend on the level (locators are ``i + 1`` everywhere), so they
+        are built once as a ``(2s, n)`` table, summed per survival-depth
+        bucket and suffix-summed across buckets: level ``L`` gets every
+        bucket at depth ``>= L``.  Each term is below ``p < 2**31`` and
+        a block holds far fewer than ``2**33`` items, so the uint64 sums
+        are exact.  The fingerprints ``u * b^i`` use per-level points:
+        they are evaluated for all (level, item) pairs of the prefixes
+        at once, with ``b^i`` read from byte-window power tables instead
+        of square-and-multiply, and summed per level.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size == 0:
+            return
+        dlt = np.asarray(deltas, dtype=np.int64)
+        if idx.min() < 0 or idx.max() >= self.universe:
+            raise ValueError(
+                f"indices must lie in [0, {self.universe})")
+        for lo in range(0, idx.size, _FUSED_BLOCK):
+            self._fused_block(idx[lo:lo + _FUSED_BLOCK],
+                              dlt[lo:lo + _FUSED_BLOCK])
+
+    def _fused_block(self, idx: np.ndarray, dlt: np.ndarray) -> None:
+        p = self._recoveries[0].field.p
+        depth = self._survival_depth(idx)
+        order = np.argsort(-depth.astype(np.int8), kind="stable")
+        idx = np.take(idx, order)
+        dlt = np.mod(np.take(dlt, order), np.int64(p)).astype(np.uint64)
+        counts = np.bincount(depth, minlength=self.levels)
+        reach = np.cumsum(counts[::-1])[::-1]     # n_L: items at depth >= L
+        active = int(np.count_nonzero(reach))     # levels with any item
+
+        # Syndromes: terms[j] = u * a^j, then one exact sum per non-empty
+        # depth bucket (deepest first) and a suffix sum over buckets.
+        terms = np.empty((2 * self.sparsity, idx.size), dtype=np.uint64)
+        scratch = np.empty(idx.size, dtype=np.uint64)
+        terms[0] = dlt
+        locators = (idx + 1).astype(np.uint64)
+        for j in range(1, terms.shape[0]):
+            np.multiply(terms[j - 1], locators, out=terms[j])
+            mod_inplace(terms[j], p, scratch)
+        deep_first = np.flatnonzero(counts)[::-1]
+        buckets = np.add.reduceat(
+            terms, reach[deep_first] - counts[deep_first], axis=1)
+        suffix = np.cumsum(buckets, axis=1) % p
+        column = np.cumsum(counts[::-1] > 0)[::-1] - 1
+
+        # Fingerprints: every (level L, item in L's prefix) pair.
+        tables = self._fingerprint_tables()
+        stride = tables.shape[1] // self.levels   # windows * 256
+        heads = reach[:active]
+        starts = np.cumsum(heads) - heads
+        item = np.arange(int(heads.sum())) - np.repeat(starts, heads)
+        base = np.repeat(np.arange(active) * stride, heads)
+        key = np.take(idx, item)
+        powers = np.take(tables, base + (key & 0xFF), axis=1)  # (F, pairs)
+        scratch = np.empty_like(powers)
+        for w in range(1, stride // 256):
+            powers *= np.take(tables, base + 256 * w
+                              + ((key >> (8 * w)) & 0xFF), axis=1)
+            mod_inplace(powers, p, scratch)
+        powers *= np.take(dlt, item)
+        mod_inplace(powers, p, scratch)
+        fingerprints = np.add.reduceat(powers, starts, axis=1) % p
+
+        for level in range(active):
+            recovery = self._recoveries[level]
+            recovery.syndromes[:] = (recovery.syndromes
+                                     + suffix[:, column[level]]) % p
+            recovery.fp_values[:] = (recovery.fp_values
+                                     + fingerprints[:, level]) % p
+
+    def _fingerprint_tables(self) -> np.ndarray:
+        """Fingerprint powers by byte window, ``(F, levels * W * 256)``.
+
+        Entry ``[r, (L * W + w) * 256 + v]`` is ``b^(v * 256^w) mod p``
+        for level ``L``'s ``r``-th fingerprint point ``b``, so ``b^i`` is
+        the product of one entry per byte of ``i``.  Built on first use;
+        about 200 KiB at ``n = 2**16`` (3 points x 17 levels x 2
+        windows x 256).
+        """
+        if self._fp_tables is None:
+            p = self._recoveries[0].field.p
+            windows = max(1, -(-(self.universe - 1).bit_length() // 8))
+            step = np.stack([rec._fp_points for rec in self._recoveries],
+                            axis=1)                    # (F, levels)
+            tables = np.empty(step.shape + (windows, 256), dtype=np.uint64)
+            for w in range(windows):
+                table = tables[:, :, w]
+                table[..., 0] = 1
+                width = 1
+                while width < 256:         # step holds b^(width * 256^w)
+                    table[..., width:2 * width] = \
+                        table[..., :width] * step[..., None] % p
+                    step = step * step % p
+                    width *= 2
+            self._fp_tables = tables.reshape(step.shape[0], -1)
+        return self._fp_tables
+
+    def _reference_update_many(self, indices, deltas) -> None:
+        """Oracle for the fused path: one recovery update per level."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return
@@ -108,7 +224,8 @@ class L0Sampler(StreamingSampler):
             mask = depth >= level
             if not mask.any():
                 break
-            self._recoveries[level].update_many(idx[mask], dlt[mask])
+            self._recoveries[level]._reference_update_many(idx[mask],
+                                                           dlt[mask])
 
     def update(self, index: int, delta) -> None:
         """Apply a single turnstile update."""
@@ -126,18 +243,34 @@ class L0Sampler(StreamingSampler):
 
     # -- sampling ---------------------------------------------------------------------
 
-    def sample(self) -> SampleResult:
-        """Scan levels sparsest-first; uniform choice from the first hit."""
+    def sample(self, count: int | None = None):
+        """Scan levels sparsest-first; uniform choice from the first hit.
+
+        With ``count``, returns a tuple of ``count`` samples from one
+        decode: the recoveries do not change between draws, so this
+        equals ``count`` sequential ``sample()`` calls, field for field,
+        and consumes the choice RNG exactly as they would.
+        """
+        draws = 1 if count is None else int(count)
+        if draws < 0:
+            raise ValueError("count must be >= 0")
+        samples = None
         for level in range(self.levels - 1, -1, -1):
             result = self._recoveries[level].recover()
             if result.dense or result.is_zero:
                 continue
             support = result.indices
-            pick = int(support[self._choice_rng.integers(support.size)])
-            value = int(result.values[np.flatnonzero(support == pick)[0]])
-            return SampleResult.ok(pick, float(value), level=level,
-                                   support_size=int(support.size))
-        return SampleResult.fail("all-levels-zero-or-dense")
+            samples = []
+            for _ in range(draws):
+                pos = int(self._choice_rng.integers(support.size))
+                samples.append(SampleResult.ok(
+                    int(support[pos]), float(int(result.values[pos])),
+                    level=level, support_size=int(support.size)))
+            break
+        if samples is None:
+            samples = [SampleResult.fail("all-levels-zero-or-dense")
+                       for _ in range(draws)]
+        return samples[0] if count is None else tuple(samples)
 
     # -- distributed use ------------------------------------------------------------
 

@@ -557,9 +557,7 @@ def _register_queries() -> None:
 
     register_query(L0Sampler, QueryCapability(
         "sample_l0",
-        lambda obj, args: tuple(obj.sample()
-                                for _ in range(_count_arg("sample_l0",
-                                                          args))),
+        lambda obj, args: obj.sample(count=_count_arg("sample_l0", args)),
         doc="sample_l0(count=1): uniform support samples, zero "
             "relative error",
         mutates=True))

@@ -34,6 +34,21 @@ def _as_u64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.uint64)
 
 
+def mod_inplace(values: np.ndarray, p, scratch: np.ndarray) -> np.ndarray:
+    """``values %= p`` in place for a uint64 array, via the quotient.
+
+    ``values - (values // p) * p`` is the same remainder bit for bit,
+    but numpy divides by a scalar through a precomputed reciprocal,
+    which measured about 2x faster than ``np.remainder`` on uint64
+    (numpy 2.4, 2-vCPU x86-64 VM).
+    ``scratch`` is a same-shape uint64 buffer the quotient overwrites.
+    """
+    np.floor_divide(values, p, out=scratch)
+    scratch *= p
+    values -= scratch
+    return values
+
+
 class PrimeField:
     """Vectorised arithmetic in GF(p) for a prime ``p < 2**32``.
 
@@ -62,7 +77,20 @@ class PrimeField:
         return _as_u64(values) % self.p
 
     def reduce_signed(self, values) -> np.ndarray:
-        """Reduce possibly-negative Python/numpy integers into the field."""
+        """Reduce possibly-negative Python/numpy integers into the field.
+
+        Integer arrays take one vectorised ``np.mod`` (its result has the
+        divisor's sign, so negatives land in ``[0, p)``); anything else,
+        notably object arrays of Python ints beyond int64, goes through
+        exact Python-int arithmetic.
+        """
+        arr = np.asarray(values)
+        if arr.dtype.kind == "u":
+            return np.asarray(arr.astype(np.uint64) % self.p)
+        if arr.dtype.kind == "i":
+            return np.asarray(np.mod(arr.astype(np.int64),
+                                     np.int64(self._p_int)),
+                              dtype=np.uint64)
         arr = np.asarray(values, dtype=object)
         flat = [v % self._p_int for v in np.ravel(arr)]
         out = np.array(flat, dtype=np.uint64).reshape(np.shape(arr))
@@ -127,12 +155,18 @@ class PrimeField:
         """Evaluate the polynomial ``sum coeffs[k] * X**k`` at many points.
 
         ``coeffs`` is a 1-D sequence (low degree first); ``points`` an array.
-        Horner's rule, vectorised across the points.
+        Horner's rule, vectorised across the points, in place with one
+        remainder per step: ``acc * x + c <= (p-1)**2 + (p-1) < 2**64``.
         """
-        pts = self.reduce(points)
-        acc = np.zeros_like(pts)
-        for c in reversed(list(coeffs)):
-            acc = self.add(self.mul(acc, pts), self.reduce(int(c)))
+        pts = np.array(points, dtype=np.uint64)
+        scratch = np.empty_like(pts)
+        mod_inplace(pts, self.p, scratch)
+        coeffs = [int(c) % self._p_int for c in coeffs]
+        acc = np.full_like(pts, coeffs[-1] if coeffs else 0)
+        for c in reversed(coeffs[:-1]):
+            acc *= pts
+            acc += np.uint64(c)
+            mod_inplace(acc, self.p, scratch)
         return acc
 
     def poly_mul(self, a, b) -> list[int]:

@@ -179,9 +179,10 @@ class ReproClient:
         """The next complete frame from the socket.
 
         With a ``timeout``, returns None if no frame completes in
-        time; with ``timeout=None`` blocks under the connection's
-        default timeout (raising :class:`TimeoutError` if even that
-        expires).  Raises :class:`ConnectionError` on EOF.
+        time (``timeout=0`` polls without blocking); with
+        ``timeout=None`` blocks under the connection's default timeout
+        (raising :class:`TimeoutError` if even that expires).  Raises
+        :class:`ConnectionError` on EOF.
         """
         if self._pending:
             return self._pending.pop(0)
@@ -190,15 +191,23 @@ class ReproClient:
         while True:
             try:
                 data = self._sock.recv(65536)
-            except TimeoutError:
+            except (TimeoutError, BlockingIOError):
+                # A zero timeout makes the socket non-blocking, and an
+                # empty one raises BlockingIOError: no frame ready yet.
                 if timeout is None:
                     raise
-                return None
+                frame = None
+                break
             if not data:
                 raise ConnectionError("server closed the connection")
             self._pending.extend(self._decoder.feed(data))
             if self._pending:
-                return self._pending.pop(0)
+                frame = self._pending.pop(0)
+                break
+        # Requests send on this socket too: never leave it non-blocking
+        # (or on a poll's short timeout) for them.
+        self._sock.settimeout(self._timeout)
+        return frame
 
     def request(self, op: str, args: dict | None = None,
                 sections=()) -> Reply:

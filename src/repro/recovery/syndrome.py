@@ -40,6 +40,10 @@ from .berlekamp_massey import berlekamp_massey
 #: Sentinel returned when the sketched vector is not s-sparse.
 DENSE = "DENSE"
 
+#: Most field terms one exact uint64 sum adds: every term is below
+#: ``p < 2**31``, so fewer than ``2**33`` of them cannot wrap.
+EXACT_SUM_TERMS = 1 << 32
+
 
 @dataclass
 class RecoveryResult:
@@ -121,6 +125,46 @@ class SyndromeSparseRecovery(LinearSketch):
     # -- updates --------------------------------------------------------------------
 
     def update_many(self, indices, deltas) -> None:
+        """Power sums and fingerprints as exact uint64 field sums.
+
+        Every term is a field element below ``p < 2**31``, so a uint64
+        sum of fewer than ``2**33`` of them cannot wrap and one final
+        remainder gives the field sum; batches are chunked at
+        :data:`EXACT_SUM_TERMS` to keep that true.  Byte-identical to
+        :meth:`_reference_update_many`.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size == 0:
+            return
+        dlt = self.field.reduce_signed(np.asarray(deltas, dtype=np.int64))
+        for lo in range(0, idx.size, EXACT_SUM_TERMS):
+            self._add_exact(idx[lo:lo + EXACT_SUM_TERMS],
+                            dlt[lo:lo + EXACT_SUM_TERMS])
+
+    def _add_exact(self, idx: np.ndarray, dlt: np.ndarray) -> None:
+        """Fold one chunk of under ``2**33`` reduced updates in."""
+        p = self.field.p
+        locators = (idx + 1).astype(np.uint64)
+        power = dlt.copy()                     # u * a^0
+        sums = np.empty(self.syndromes.size, dtype=np.uint64)
+        for j in range(sums.size):
+            sums[j] = power.sum(dtype=np.uint64)
+            power *= locators                  # < p^2 < 2^62
+            power %= p
+        self.syndromes[:] = self.field.add(self.syndromes, sums % p)
+        from ..sketch.l0_estimator import _pow_many
+
+        for r, b in enumerate(self._fp_points):
+            contrib = self.field.mul(dlt, _pow_many(self.field, b, idx))
+            self.fp_values[r] = self.field.add(
+                self.fp_values[r], contrib.sum(dtype=np.uint64) % p)
+
+    def _reference_update_many(self, indices, deltas) -> None:
+        """Oracle for :meth:`update_many`: Python big-int sums.
+
+        Each power sum and fingerprint is reduced through
+        ``sum(dtype=np.object_)``, which is exact for any batch size.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return
@@ -202,18 +246,17 @@ class SyndromeSparseRecovery(LinearSketch):
         return signed
 
     def _verify(self, candidate: RecoveryResult) -> bool:
-        """Check the random fingerprints against the candidate vector."""
-        from ..sketch.l0_estimator import _pow_many
+        """Check the random fingerprints against the candidate vector.
 
-        dlt = self.field.reduce_signed(candidate.values)
-        for r, b in enumerate(self._fp_points):
-            contrib = self.field.mul(dlt, _pow_many(self.field, b,
-                                                    candidate.indices))
-            total = np.uint64(int(contrib.sum(dtype=np.object_))
-                              % int(self.field.p))
-            if total != self.fp_values[r]:
-                return False
-        return True
+        The candidate has at most ``sparsity`` entries, so exact
+        Python-int arithmetic beats any vectorised power evaluation.
+        """
+        p = int(self.field.p)
+        terms = [(int(v) % p, int(i)) for v, i in zip(candidate.values,
+                                                       candidate.indices)]
+        return all(
+            sum(v * pow(int(b), i, p) for v, i in terms) % p == int(f)
+            for b, f in zip(self._fp_points, self.fp_values))
 
     # -- space ------------------------------------------------------------------------
 

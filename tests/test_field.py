@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hashing.field import DEFAULT_FIELD, MERSENNE31, PrimeField
+from repro.hashing.field import (DEFAULT_FIELD, MERSENNE31, PrimeField,
+                                mod_inplace)
 
 
 class TestConstruction:
@@ -93,6 +94,42 @@ class TestSignedEmbedding:
         out = f.reduce_signed(np.array([-1, -18, 16], dtype=np.int64))
         assert out.tolist() == [16, 16, 16]
 
+    @pytest.mark.parametrize("p", [2, 3, 17, 65537, 2**31 - 1,
+                                   2**32 - 5])
+    def test_reduce_signed_int64_extremes_match_python(self, p):
+        """The vectorised integer path equals exact Python ``%`` at the
+        int64 limits, for small primes and the largest allowed."""
+        f = PrimeField(p)
+        info = np.iinfo(np.int64)
+        values = [info.min, info.min + 1, -p - 1, -p, -1, 0, 1, p,
+                  info.max - 1, info.max]
+        for dtype in (np.int64, np.int32, np.int8):
+            arr = np.array([v for v in values
+                            if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max],
+                           dtype=dtype)
+            out = f.reduce_signed(arr)
+            assert out.dtype == np.uint64
+            assert out.tolist() == [int(v) % p for v in arr.tolist()]
+        unsigned = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert f.reduce_signed(unsigned).tolist() == \
+            [v % p for v in unsigned.tolist()]
+
+    def test_reduce_signed_keeps_object_path_beyond_int64(self):
+        f = PrimeField(17)
+        values = [2**70, -(2**70), -1, 2**63]
+        assert f.reduce_signed(values).tolist() == [v % 17 for v in values]
+        big = np.array([2**80, -(2**65)], dtype=object)
+        assert f.reduce_signed(big).tolist() == [2**80 % 17,
+                                                 -(2**65) % 17]
+
+    def test_reduce_signed_shapes(self):
+        f = PrimeField(17)
+        assert f.reduce_signed(-1).shape == ()
+        assert int(f.reduce_signed(-1)) == 16
+        grid = f.reduce_signed(np.array([[-1, 18], [0, -35]]))
+        assert grid.tolist() == [[16, 1], [0, 16]]
+        assert f.reduce_signed(np.array([], dtype=np.int64)).size == 0
+
     def test_to_signed_boundary(self):
         f = PrimeField(17)
         # elements <= 8 stay positive, >= 9 map to negatives
@@ -121,3 +158,16 @@ class TestPolynomials:
         out = f.poly_mul(a, b)
         expected = np.convolve(a, b) % 101
         assert out == expected.tolist()
+
+
+class TestModInplace:
+    @pytest.mark.parametrize("p", [2, 17, 2**31 - 1, 2**32 - 5])
+    def test_matches_remainder_over_full_uint64_range(self, p):
+        rng = np.random.default_rng(p)
+        values = rng.integers(0, 2**64 - 1, size=1000, dtype=np.uint64,
+                              endpoint=True)
+        values[:3] = [0, 2**64 - 1, p]
+        expected = values % np.uint64(p)
+        out = values.copy()
+        assert mod_inplace(out, np.uint64(p), np.empty_like(out)) is out
+        assert np.array_equal(out, expected)

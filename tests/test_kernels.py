@@ -14,9 +14,11 @@ per-stream calls, and the flattened-bincount scatter kernel against
 import numpy as np
 import pytest
 
-from repro.engine import state_arrays
+from repro.core import L0Sampler
+from repro.engine import checkpoint, clone, state_arrays
 from repro.hashing.kwise import BucketHash, KWiseHash, SignHash, derive_rngs
 from repro.hashing.prng import CounterRNG
+from repro.recovery import SyndromeSparseRecovery
 from repro.sketch import AMSSketch, CountMin, CountSketch, StableSketch
 from repro.sketch.kernels import scatter_add_flat, scatter_add_rows
 from repro.sketch.l0_estimator import L0Estimator
@@ -31,6 +33,9 @@ FUSED_SKETCHES = [
     ("StableSketch", lambda s: StableSketch(UNIVERSE, 0.75, rows=11,
                                             seed=s)),
     ("L0Estimator", lambda s: L0Estimator(UNIVERSE, reps=5, seed=s)),
+    ("SyndromeSparseRecovery",
+     lambda s: SyndromeSparseRecovery(UNIVERSE, sparsity=5, seed=s)),
+    ("L0Sampler", lambda s: L0Sampler(UNIVERSE, delta=0.1, seed=s)),
 ]
 FUSED_IDS = [name for name, _ in FUSED_SKETCHES]
 
@@ -80,6 +85,105 @@ class TestFusedMatchesReference:
                            np.array([], dtype=np.int64))
         for arr, ref in zip(state_arrays(sketch), before):
             assert np.array_equal(arr, ref)
+
+
+def _assert_same_state(a, b):
+    for mine, theirs in zip(state_arrays(a), state_arrays(b)):
+        assert np.array_equal(mine, theirs)
+
+
+EXTREME_DELTAS = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                           -1, 1, 0, 2**31 - 1, -(2**31 - 1), 2**40],
+                          dtype=np.int64)
+
+
+class TestL0FusedKernel:
+    """The cross-level L0 ingest kernel against the per-level oracle on
+    the shapes its byte-window tables and depth buckets care about."""
+
+    @pytest.mark.parametrize("universe", [1, 3, 1000, 4099,
+                                          (1 << 17) + 5])
+    def test_universes_off_the_byte_grid(self, universe):
+        """Universes that are not a multiple of 256, and one above
+        2**16 whose indices span three byte windows."""
+        rng = np.random.default_rng(universe)
+        fused = L0Sampler(universe, delta=0.1, seed=4)
+        reference = L0Sampler(universe, delta=0.1, seed=4)
+        for size in (1, 17, 3000):
+            indices = rng.integers(0, universe, size=size)
+            indices[0] = universe - 1
+            deltas = rng.integers(-9, 9, size=size)
+            fused.update_many(indices, deltas)
+            reference._reference_update_many(indices, deltas)
+            _assert_same_state(fused, reference)
+
+    @pytest.mark.parametrize("build", [
+        lambda: L0Sampler(UNIVERSE, delta=0.1, seed=8),
+        lambda: SyndromeSparseRecovery(UNIVERSE, sparsity=4, seed=8)],
+        ids=["L0Sampler", "SyndromeSparseRecovery"])
+    def test_extreme_int64_deltas(self, build):
+        fused, reference = build(), build()
+        indices = np.arange(EXTREME_DELTAS.size, dtype=np.int64) * 97
+        for _ in range(3):
+            fused.update_many(indices, EXTREME_DELTAS)
+            reference._reference_update_many(indices, EXTREME_DELTAS)
+            _assert_same_state(fused, reference)
+
+    def test_block_size_does_not_change_state(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        indices = rng.integers(0, UNIVERSE, size=5000)
+        deltas = rng.integers(-5, 5, size=5000)
+        whole = L0Sampler(UNIVERSE, delta=0.1, seed=2)
+        whole.update_many(indices, deltas)
+        monkeypatch.setattr("repro.core.l0_sampler._FUSED_BLOCK", 333)
+        blocked = L0Sampler(UNIVERSE, delta=0.1, seed=2)
+        blocked.update_many(indices, deltas)
+        _assert_same_state(blocked, whole)
+
+    def test_syndrome_sum_chunking_is_invisible(self, monkeypatch):
+        """The exact-sum chunk bound, shrunk so a batch spans many."""
+        rng = np.random.default_rng(13)
+        indices = rng.integers(0, UNIVERSE, size=1000)
+        deltas = rng.integers(-5, 5, size=1000)
+        reference = SyndromeSparseRecovery(UNIVERSE, sparsity=6, seed=1)
+        reference._reference_update_many(indices, deltas)
+        monkeypatch.setattr("repro.recovery.syndrome.EXACT_SUM_TERMS", 7)
+        chunked = SyndromeSparseRecovery(UNIVERSE, sparsity=6, seed=1)
+        chunked.update_many(indices, deltas)
+        _assert_same_state(chunked, reference)
+
+    def test_rejects_indices_outside_the_universe(self):
+        sampler = L0Sampler(100, seed=1)
+        for bad in (-1, 100):
+            with pytest.raises(ValueError, match=r"\[0, 100\)"):
+                sampler.update_many(np.array([3, bad]), np.array([1, 1]))
+
+    def test_power_tables_are_lazy_and_outside_state(self):
+        """The byte-window tables are built by the first ingest only,
+        never by construction or cloning, and never serialised."""
+        sampler = L0Sampler(UNIVERSE, delta=0.1, seed=6)
+        assert sampler._fp_tables is None
+        reference = L0Sampler(UNIVERSE, delta=0.1, seed=6)
+        indices = np.arange(0, UNIVERSE, 7, dtype=np.int64)
+        deltas = np.ones(indices.size, dtype=np.int64)
+        sampler.update_many(indices, deltas)
+        reference._reference_update_many(indices, deltas)
+        assert sampler._fp_tables is not None
+        assert reference._fp_tables is None
+        assert clone(sampler)._fp_tables is None
+        assert checkpoint(sampler) == checkpoint(reference)
+
+    def test_tables_hold_byte_window_powers(self):
+        sampler = L0Sampler(1000, seed=3)
+        tables = sampler._fingerprint_tables()
+        p = 2**31 - 1
+        windows = 2
+        for level in (0, sampler.levels - 1):
+            for r, b in enumerate(sampler._recoveries[level]._fp_points):
+                for w in range(windows):
+                    for v in (0, 1, 2, 255):
+                        entry = tables[r, (level * windows + w) * 256 + v]
+                        assert int(entry) == pow(int(b), v * 256**w, p)
 
 
 class TestStackedHashes:

@@ -138,3 +138,53 @@ class TestSpace:
         seed_bits = sampler.space_report().seed_total
         # (2 * 10 + 1) * 61 for the PRG plus recovery fingerprints
         assert seed_bits >= (2 * 10 + 1) * 61
+
+
+class TestSampleCount:
+    """``sample(count=k)`` decodes once and draws k times: the same
+    answers, field for field, as k sequential ``sample()`` calls, and
+    the same choice-RNG state afterwards."""
+
+    @staticmethod
+    def _filled(support, mode="kwise", seed=5, universe=2048):
+        sampler = L0Sampler(universe, delta=0.1, seed=seed, mode=mode)
+        rng = np.random.default_rng(seed)
+        coords = rng.choice(universe, size=support, replace=False)
+        sampler.update_many(coords, rng.integers(1, 9, size=support))
+        return sampler
+
+    @pytest.mark.parametrize("support", [0, 1, 7, 300])
+    @pytest.mark.parametrize("mode", ["kwise", "nisan"])
+    def test_count_equals_sequential_samples(self, support, mode):
+        from repro.engine import clone
+
+        batched = self._filled(support, mode=mode)
+        sequential = clone(batched)
+        drawn = batched.sample(count=5)
+        assert isinstance(drawn, tuple) and len(drawn) == 5
+        assert list(drawn) == [sequential.sample() for _ in range(5)]
+        assert (batched._choice_rng.bit_generator.state
+                == sequential._choice_rng.bit_generator.state)
+        if support == 0:
+            assert all(r.failed for r in drawn)
+            assert drawn[0].reason == "all-levels-zero-or-dense"
+        # ... and the next draws stay in lockstep.
+        assert batched.sample() == sequential.sample()
+
+    def test_every_level_dense_fails_without_drawing(self):
+        """A support too wide for every level: each draw fails and the
+        choice RNG is never consumed, exactly as sequential calls."""
+        sampler = L0Sampler(64, seed=2, sparsity=1)
+        sampler.update_many(np.arange(64), np.ones(64, dtype=np.int64))
+        before = sampler._choice_rng.bit_generator.state
+        assert sampler.sample().failed
+        drawn = sampler.sample(count=3)
+        assert all(r.failed for r in drawn)
+        assert sampler._choice_rng.bit_generator.state == before
+
+    def test_count_edge_values(self):
+        sampler = self._filled(5)
+        assert sampler.sample(count=0) == ()
+        assert len(sampler.sample(count=1)) == 1
+        with pytest.raises(ValueError, match="count"):
+            sampler.sample(count=-1)

@@ -235,6 +235,32 @@ class TestReplication:
                 finally:
                     promoted.close()
 
+    def test_poll_with_zero_timeout_does_not_block_or_raise(self):
+        """``timeout=0`` is a non-blocking poll: with no frame ready it
+        returns 0 (the socket's BlockingIOError means "nothing yet"),
+        and once a delta has arrived it is applied."""
+        with _service() as svc, ServerThread(svc) as server, \
+                ReproClient(server.host, server.port) as client:
+            with SocketFollower(server.host, server.port) as follower:
+                assert follower.poll(timeout=0) == 0
+                assert follower.poll(timeout=0.0) == 0
+                indices, deltas = _stream(5, length=40)
+                client.ingest(indices, deltas)
+                applied = 0
+                for _ in range(2000):
+                    applied += follower.poll(timeout=0)
+                    if follower.epoch == 40:
+                        break
+                    threading.Event().wait(0.005)
+                assert follower.epoch == 40 and applied >= 1
+                assert follower.poll(timeout=0) == 0
+
+    def test_next_frame_zero_timeout_returns_none(self):
+        with _service() as svc, ServerThread(svc) as server, \
+                ReproClient(server.host, server.port) as client:
+            assert client.ping()
+            assert client.next_frame(timeout=0) is None
+
     def test_health_counts_subscribers(self):
         with _service() as svc, ServerThread(svc) as server, \
                 ReproClient(server.host, server.port) as client:

@@ -15,7 +15,7 @@ from repro.apps.heavy_hitters import (CountMedianHeavyHitters,
                                       CountSketchHeavyHitters)
 from repro.core import L0Sampler
 from repro.engine import (ShardedPipeline, UnsupportedQuery, checkpoint,
-                          query_algebra, query_capabilities, registered_types,
+                          clone, query_algebra, query_capabilities, registered_types,
                           state_arrays)
 from repro.service import (LoadMonitor, QueryRouter, QueryService,
                            ResultCache, Snapshot, SnapshotManager,
@@ -507,6 +507,41 @@ class TestWatermarkPolicy:
 
 # ---------------------------------------------------------------------------
 # The service facade
+
+
+class TestSampleL0DecodeOnce:
+    """``sample_l0(count=k)`` is served from one decode; its answers
+    are still those of k sequential ``sample()`` calls on the snapshot,
+    on a sharded pipeline and after a checkpoint/restore."""
+
+    @staticmethod
+    def _expected(structure, count):
+        twin = clone(structure)
+        return tuple(twin.sample() for _ in range(count))
+
+    @pytest.mark.parametrize("length", [6, 5000])
+    def test_sharded_and_restored_answers_unchanged(self, length):
+        universe = 4096
+        idx, dlt = _workload(universe=universe, length=length, seed=4)
+        pipe = ShardedPipeline(lambda: L0Sampler(universe, delta=0.1,
+                                                 seed=11),
+                               shards=3, chunk_size=512)
+        with QueryService(pipe, cache_size=0) as service:
+            service.ingest(idx, dlt)
+            service.refresh()
+            expected = self._expected(pipe.merged(), 4)
+            served = service.query("sample_l0", count=4)
+            assert served == expected
+            blob = pipe.checkpoint()
+        truth = np.zeros(universe, dtype=np.int64)
+        np.add.at(truth, idx, dlt)
+        assert any(not result.failed for result in expected)
+        for result in expected:
+            if not result.failed:
+                assert truth[result.index] == result.estimate != 0
+        with QueryService.from_checkpoint(blob, shards=2,
+                                          cache_size=0) as restored:
+            assert restored.query("sample_l0", count=4) == expected
 
 
 class TestQueryService:
