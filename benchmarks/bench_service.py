@@ -14,6 +14,13 @@ Measured, on an ingest-while-query loop over the sharded engine:
    replaces).  Snapshot immutability makes the cached answer *provably
    equal* to the recomputed one, so this speedup is free correctness-
    wise; the report asserts it is at least 10x.
+3. **Epoch turnover** — the per-epoch work an L0 snapshot pays for
+   ``L0Sampler(65536, delta=0.1)``: µs per ``clone`` (map-sharing copy)
+   against ``_reference_clone`` (rebuild from params, then load state),
+   and µs per decode with each level's root search restricted to its
+   set ``I_k`` against the full-universe search.  Each row carries
+   ``byte_identical`` (equal checkpoint bytes; equal samples)
+   and must clear :data:`TURNOVER_FLOOR`.
 
 Run as a script to emit a machine-readable ``BENCH_service.json``:
 
@@ -28,7 +35,9 @@ import time
 import numpy as np
 
 from repro.apps.heavy_hitters import CountMedianHeavyHitters
-from repro.engine import ShardedPipeline
+from repro.core import L0Sampler
+from repro.engine import ShardedPipeline, checkpoint, clone
+from repro.engine.checkpoint import _reference_clone
 from repro.service import QueryService
 
 from _common import print_table
@@ -40,7 +49,15 @@ HEADER = ["structure", "refresh/batches", "cache", "queries/s",
           "hit rate", "ingest upd/s"]
 
 #: Bumped when the BENCH_service.json layout changes.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
+
+#: Minimum fast/reference speedup of each turnover row.
+TURNOVER_FLOOR = 2.0
+
+TURNOVER_UNIVERSE = 1 << 16
+
+TURNOVER_HEADER = ["op", "fast us", "reference us", "speedup",
+                   "byte-identical"]
 
 #: The sustained-serving loop issues this many queries per batch —
 #: a phi sweep so some queries repeat across rounds (cache food) and
@@ -133,6 +150,59 @@ def _speedup_record(universe, updates, shards, chunk, repeats=50):
     }
 
 
+def _median_us(lanes: dict, repeats: int) -> dict:
+    """Median µs per call of each lane, lanes interleaved per repeat."""
+    times = {name: [] for name in lanes}
+    for name, run in lanes.items():
+        run()                                  # warmup, untimed
+    for _ in range(repeats):
+        for name, run in lanes.items():
+            begin = time.perf_counter()
+            run()
+            times[name].append(time.perf_counter() - begin)
+    return {name: float(np.median(spent)) * 1e6
+            for name, spent in times.items()}
+
+
+def turnover_experiment(updates=40_960, repeats=40):
+    """Clone and decode cost of one L0 epoch turnover (see module doc)."""
+    rng = np.random.default_rng(np.random.SeedSequence((2, 0x7E4)))
+    sampler = L0Sampler(TURNOVER_UNIVERSE, delta=0.1)
+    sampler.update_many(
+        rng.integers(0, TURNOVER_UNIVERSE, size=updates, dtype=np.int64),
+        rng.integers(1, 8, size=updates, dtype=np.int64))
+    spent = _median_us({"fast": lambda: clone(sampler),
+                        "reference": lambda: _reference_clone(sampler)},
+                       repeats)
+    cloned = checkpoint(clone(sampler)) \
+        == checkpoint(_reference_clone(sampler)) == checkpoint(sampler)
+    rows = [dict(op="clone", fast_us=spent["fast"],
+                 reference_us=spent["reference"], byte_identical=cloned)]
+    # Decode: ``sample(count=1)`` on two twins; the reference twin's
+    # level sets are None, so each level searches the whole universe.
+    fast, reference = _reference_clone(sampler), _reference_clone(sampler)
+    reference._level_set = lambda level: None
+    spent = _median_us({"fast": lambda: fast.sample(count=1),
+                        "reference": lambda: reference.sample(count=1)},
+                       repeats)
+    decoded = fast.sample(count=1)
+    rows.append(dict(op="decode", fast_us=spent["fast"],
+                     reference_us=spent["reference"],
+                     byte_identical=(not decoded[0].failed and decoded
+                                     == reference.sample(count=1))))
+    for row in rows:
+        row["speedup"] = row["reference_us"] / row["fast_us"]
+    return rows
+
+
+def turnover_complaints(rows) -> list[str]:
+    """Every turnover row below the floor or not byte-identical."""
+    return [f"{row['op']}: {row['speedup']:.2f}x < {TURNOVER_FLOOR}x "
+            f"or not byte-identical ({row})" for row in rows
+            if row["speedup"] < TURNOVER_FLOOR
+            or not row["byte_identical"]]
+
+
 def experiment(universe=1 << 13, updates=80_000, shards=4, chunk=4096,
                batches=10):
     return _serving_records(universe, updates, shards, chunk, batches)
@@ -150,7 +220,12 @@ def _rows(records):
              f"{r['ingest_updates_per_s']:,.0f}"] for r in records]
 
 
-def write_report(records, speedup, path: str) -> dict:
+def _turnover_rows(rows):
+    return [[r["op"], f"{r['fast_us']:,.0f}", f"{r['reference_us']:,.0f}",
+             f"{r['speedup']:.1f}x", r["byte_identical"]] for r in rows]
+
+
+def write_report(records, speedup, turnover, path: str) -> dict:
     report = {
         "bench": "service",
         "schema": REPORT_SCHEMA,
@@ -158,6 +233,9 @@ def write_report(records, speedup, path: str) -> dict:
         "refresh_batches": list(REFRESH_BATCHES),
         "rows": records,
         "cache_speedup": speedup,
+        "turnover_universe": TURNOVER_UNIVERSE,
+        "turnover_floor": TURNOVER_FLOOR,
+        "turnover": turnover,
     }
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -189,6 +267,16 @@ def test_cache_speedup(benchmark):
     assert speedup["speedup"] >= 10.0, speedup
 
 
+def test_turnover(benchmark):
+    rows = benchmark.pedantic(turnover_experiment,
+                              kwargs=dict(repeats=10),
+                              rounds=1, iterations=1)
+    print_table("E-SRV: L0 epoch turnover", TURNOVER_HEADER,
+                _turnover_rows(rows))
+    assert {row["op"] for row in rows} == {"clone", "decode"}
+    assert all(row["byte_identical"] for row in rows), rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--updates", type=int, default=80_000)
@@ -203,9 +291,12 @@ def main(argv=None) -> int:
                          args.chunk, args.batches)
     speedup = speedup_experiment(args.universe, args.updates,
                                  args.shards, args.chunk)
-    report = write_report(records, speedup, args.out)
+    turnover = turnover_experiment()
+    report = write_report(records, speedup, turnover, args.out)
     print_table("E-SRV: queries/sec, refresh interval x cache",
                 HEADER, _rows(records))
+    print_table("E-SRV: L0 epoch turnover", TURNOVER_HEADER,
+                _turnover_rows(turnover))
     print(f"\ncached repeat query: "
           f"{speedup['cached_ms_per_query']:.4f} ms/query vs "
           f"uncached fold-and-query "
@@ -214,6 +305,11 @@ def main(argv=None) -> int:
     if speedup["speedup"] < 10.0:
         print("ERROR: cached repeat queries are supposed to be >= 10x "
               "below the uncached fold-and-query latency")
+        return 1
+    complaints = turnover_complaints(turnover)
+    for complaint in complaints:
+        print(f"ERROR: turnover floor violated: {complaint}")
+    if complaints:
         return 1
     print(f"report written to {args.out}")
     return 0

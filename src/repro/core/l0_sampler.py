@@ -30,6 +30,10 @@ below Frahling–Indyk–Sohler.
 
 from __future__ import annotations
 
+import copy as _copy
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from ..hashing.field import mod_inplace
@@ -43,6 +47,15 @@ from .base import SampleResult, StreamingSampler
 #: power-term scratch (2.8 MiB at s = 11) and keeps every prefix sum
 #: far below the ``2**33``-term exactness limit.
 _FUSED_BLOCK = 1 << 14
+
+#: Level indexes (see ``L0Sampler._level_set``) by level map
+#: ``(mode, universe, seed)``, least recently used first.  An index is
+#: a function of the map alone, so every sampler with that map (shards,
+#: folds, clones, restored twins) shares one; at most
+#: ``_LEVEL_INDEX_MAPS`` maps are kept.
+_LEVEL_INDEXES: OrderedDict = OrderedDict()
+_LEVEL_INDEX_MAPS = 8
+_LEVEL_INDEX_LOCK = threading.Lock()
 
 
 class L0Sampler(StreamingSampler):
@@ -80,8 +93,8 @@ class L0Sampler(StreamingSampler):
         ]
         # Fingerprint power tables: derived from the recoveries' seeds,
         # built by the first ``update_many`` (never here: clones,
-        # snapshots and query copies are rebuilt through ``__init__``
-        # and never ingest), and never part of params or state.
+        # snapshots and query copies never ingest, so ``copy`` drops
+        # them), and never part of params or state.
         self._fp_tables = None
 
     # -- level membership ----------------------------------------------------------
@@ -105,6 +118,51 @@ class L0Sampler(StreamingSampler):
         with np.errstate(divide="ignore"):
             depth = np.floor(-np.log2(frac)).astype(np.int64)
         return np.clip(depth, 0, self.levels - 1)
+
+    def _level_set(self, level: int) -> np.ndarray:
+        """``I_level`` as int32 coordinates (unsorted), from the index.
+
+        The index holds every coordinate sorted deepest-first (ascending
+        within a depth) plus ``reach[L]``, the number of coordinates at
+        depth ``>= L``, so ``I_L`` is the prefix ``table[:reach[L]]``.
+        It is built by the first decode of any sampler with this level
+        map and kept in ``_LEVEL_INDEXES``, never in params or state.
+        """
+        key = (self.mode, self.universe, self.seed)
+        with _LEVEL_INDEX_LOCK:
+            index = _LEVEL_INDEXES.get(key)
+            if index is not None:
+                _LEVEL_INDEXES.move_to_end(key)
+        if index is None:
+            index = self._build_level_index()
+            with _LEVEL_INDEX_LOCK:
+                _LEVEL_INDEXES[key] = index
+                while len(_LEVEL_INDEXES) > _LEVEL_INDEX_MAPS:
+                    _LEVEL_INDEXES.popitem(last=False)
+        table, reach = index
+        return table[:reach[level]]
+
+    def _build_level_index(self) -> tuple:
+        """``(table, reach)`` of :meth:`_level_set`, built in blocks of
+        ``_FUSED_BLOCK`` coordinates, so the only full-universe arrays
+        are the int8 depths and the int32 table (320 KiB at
+        ``n = 2**16``)."""
+        n = self.universe
+        depth = np.empty(n, dtype=np.int8)
+        for lo in range(0, n, _FUSED_BLOCK):
+            depth[lo:lo + _FUSED_BLOCK] = self._survival_depth(
+                np.arange(lo, min(n, lo + _FUSED_BLOCK)))
+        counts = np.bincount(depth, minlength=self.levels)
+        reach = np.cumsum(counts[::-1])[::-1]
+        cursor = reach - counts           # next free slot of each depth
+        table = np.empty(n, dtype=np.int32)
+        for lo in range(0, n, _FUSED_BLOCK):
+            block = depth[lo:lo + _FUSED_BLOCK]
+            for d in range(self.levels):
+                members = np.flatnonzero(block == d) + lo
+                table[cursor[d]:cursor[d] + members.size] = members
+                cursor[d] += members.size
+        return table, reach
 
     # -- streaming -------------------------------------------------------------------
 
@@ -241,6 +299,23 @@ class L0Sampler(StreamingSampler):
         return dict(universe=self.universe, delta=self.delta,
                     seed=self.seed, mode=self.mode, sparsity=self.sparsity)
 
+    def copy(self) -> "L0Sampler":
+        """An independent copy sharing the immutable linear map.
+
+        The level hash (or PRG) is shared; the choice RNG restarts from
+        the same PCG64 state and every recovery gets its own counters,
+        so the copy's state, checkpoint bytes and draws equal those of a
+        build-and-load clone.  The power tables
+        are dropped: copies serve queries and rarely ingest.
+        """
+        twin = _copy.copy(self)
+        twin._choice_rng = np.random.Generator(np.random.PCG64(0))
+        twin._choice_rng.bit_generator.state = \
+            self._choice_rng.bit_generator.state
+        twin._recoveries = [rec.copy() for rec in self._recoveries]
+        twin._fp_tables = None
+        return twin
+
     # -- sampling ---------------------------------------------------------------------
 
     def sample(self, count: int | None = None):
@@ -250,13 +325,21 @@ class L0Sampler(StreamingSampler):
         decode: the recoveries do not change between draws, so this
         equals ``count`` sequential ``sample()`` calls, field for field,
         and consumes the choice RNG exactly as they would.
+
+        Level ``k``'s recovery sketches ``x`` restricted to ``I_k``, so
+        its root search runs over ``I_k`` only (about ``n / 2^k``
+        locators).  Every s-sparse level vector lies in ``I_k`` and is
+        found there; a full-universe search could differ only by
+        accepting a support outside ``I_k``, i.e. on a fingerprint
+        collision.
         """
         draws = 1 if count is None else int(count)
         if draws < 0:
             raise ValueError("count must be >= 0")
         samples = None
         for level in range(self.levels - 1, -1, -1):
-            result = self._recoveries[level].recover()
+            result = self._recoveries[level].recover(
+                candidates=self._level_set(level) if level else None)
             if result.dense or result.is_zero:
                 continue
             support = result.indices

@@ -24,7 +24,8 @@ continues the stream exactly where ``x`` left off.
 
 The same component walk powers two more engine primitives:
 
-* :func:`clone` — an independent deep copy (twin + copied state);
+* :func:`clone` — an independent deep copy (copied counters, shared
+  map where the spec supplies ``copy``; twin + copied state otherwise);
 * :func:`merge_into` — shard reconciliation that validates the two
   structures share a map (class and parameters) and then delegates to
   each component's own ``merge`` (field-aware where the component says
@@ -110,6 +111,14 @@ class EngineSpec:
         means the generic recursion: merge children pairwise and add
         own arrays elementwise (correct for plain counters; structures
         with modular state supply their own, e.g. field addition).
+    copy:
+        Optional ``obj -> obj`` independent copy that shares the
+        immutable linear map (hashes, seeds, derived tables) and copies
+        only the mutable state.  :func:`clone` uses it when present;
+        ``None`` means the build-and-load path of
+        :func:`_reference_clone`, which re-derives the whole map.  The
+        copy must give the same ``checkpoint`` bytes and the same
+        behaviour as that path.
     exact:
         True when the state arrays are integer/modular, so sharded
         ingestion followed by a merge is *byte-identical* to the
@@ -134,6 +143,7 @@ class EngineSpec:
     arrays: Callable[[Any], list] = field(default=_no_arrays)
     set_arrays: Callable[[Any, list], None] = field(default=_no_set_arrays)
     merge: Callable[[Any, Any], None] | None = None
+    copy: Callable[[Any], Any] | None = None
     exact: bool = True
     shardable: bool = True
 
@@ -153,8 +163,9 @@ def register_linear_sketch(cls, exact: bool = True,
     """Register a :class:`LinearSketch` subclass as an engine leaf.
 
     Reuses the ``_params()`` / ``_state_arrays()`` / ``_replace_state``
-    contract of :mod:`repro.sketch.serialize` and the class's own
-    ``merge`` (which is field-aware where it needs to be).
+    contract of :mod:`repro.sketch.serialize`, the class's own ``merge``
+    (which is field-aware where it needs to be) and its ``copy`` (hash
+    objects shared, counter arrays copied).
     """
     return register_spec(EngineSpec(
         cls=cls,
@@ -163,6 +174,7 @@ def register_linear_sketch(cls, exact: bool = True,
         arrays=lambda obj: list(obj._state_arrays()),
         set_arrays=_replace_leaf_state,
         merge=lambda obj, other: obj.merge(other),
+        copy=lambda obj: obj.copy(),
         exact=exact,
         shardable=shardable,
     ))
@@ -258,7 +270,21 @@ def build_twin(class_name: str, params: dict):
 
 
 def clone(obj):
-    """An independent deep copy: twin construction + state copy."""
+    """An independent deep copy.
+
+    Structures whose spec supplies ``copy`` share their immutable linear
+    map with the clone and copy only their counters; the rest take
+    :func:`_reference_clone`.  Either way ``checkpoint(clone(x))``
+    equals ``checkpoint(x)``.
+    """
+    spec = spec_for(obj)
+    if spec.copy is not None:
+        return spec.copy(obj)
+    return _reference_clone(obj)
+
+
+def _reference_clone(obj):
+    """Twin construction + state copy: the oracle for :func:`clone`."""
     twin = build_twin(type(obj).__name__, params_of(obj))
     _load_state(twin, [np.array(a, copy=True) for a in state_arrays(obj)])
     return twin

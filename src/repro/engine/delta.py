@@ -149,16 +149,17 @@ def decode(blob: bytes):
     return header, frame.sections
 
 
-def apply(base_arrays, blob: bytes):
-    """Apply one delta frame to a base state.
+def apply(base_arrays, header: dict, sections: list) -> list:
+    """Apply one delta, as :func:`decode` returned it, to a base state.
 
-    Returns ``(header, new_arrays)`` where ``new_arrays`` is
+    Taking the decoded ``(header, sections)`` lets a caller that read
+    the header first (to check epochs and identity) apply the frame
+    without decoding and inflating it twice.  Returns the new arrays,
     byte-identical to the state the delta was encoded from.  Raises
     :class:`WrongBaseDelta` when the base digest does not match and
     :class:`DeltaError` when the result digest fails to verify (a
     corrupted but well-formed frame).
     """
-    header, sections = decode(blob)
     base = [np.ascontiguousarray(a) for a in base_arrays]
     if state_digest(base) != header["base_digest"]:
         raise WrongBaseDelta(
@@ -176,4 +177,4 @@ def apply(base_arrays, blob: bytes):
             f"delta for epochs {header['base_epoch']}->{header['epoch']} "
             f"applied cleanly but the result digest does not match "
             f"(corrupted frame)")
-    return header, out
+    return out

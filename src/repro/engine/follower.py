@@ -34,10 +34,9 @@ import numpy as np
 
 from ..wire import (KIND_DELTA, KIND_PIPELINE, WireError, encode_frame,
                     peek_header, split_frames)
-from .checkpoint import (FORMAT_VERSION, build_twin, checkpoint as
-                         snapshot_structure, params_of, state_arrays,
-                         _load_state)
-from .checkpoint import clone
+from .checkpoint import (FORMAT_VERSION, checkpoint as
+                         snapshot_structure, clone, params_of,
+                         state_arrays, _load_state)
 from .delta import (DeltaError, OutOfOrderDelta,
                     apply as apply_delta, decode as decode_delta)
 from .pipeline import ShardedPipeline
@@ -62,12 +61,7 @@ class FollowerPipeline:
         # serial pipeline, then keep only its fold: the follower needs
         # the merged arrays plus the header fields promote() reuses.
         with ShardedPipeline.restore(base, backend="serial") as booted:
-            folded = booted._folded()
-            self._structure = build_twin(type(folded).__name__,
-                                         params_of(folded))
-            _load_state(self._structure,
-                        [np.array(a, copy=True)
-                         for a in state_arrays(folded)])
+            self._structure = clone(booted._folded())
             self._partition = booted.partition
             self._chunk_size = booted.chunk_size
             self._epoch = booted.updates_ingested
@@ -104,14 +98,17 @@ class FollowerPipeline:
         its base digest must match the standby state
         (:class:`~repro.engine.delta.WrongBaseDelta` otherwise).
         """
-        header, _ = decode_delta(delta_blob)
+        return self._apply_decoded(*decode_delta(delta_blob))
+
+    def _apply_decoded(self, header: dict, sections: list) -> int:
+        """:meth:`apply` for a frame :func:`decode_delta` already read."""
         self._check_identity(header)
         if header.get("base_epoch") != self._epoch:
             raise OutOfOrderDelta(
                 f"delta starts at epoch {header.get('base_epoch')!r} "
                 f"but the follower is at epoch {self._epoch}")
         arrays = state_arrays(self._structure)
-        header, advanced = apply_delta(arrays, delta_blob)
+        advanced = apply_delta(arrays, header, sections)
         _load_state(self._structure, advanced)
         self._epoch = header["epoch"]
         self._acked.append(self._epoch)
@@ -130,11 +127,11 @@ class FollowerPipeline:
     def _maybe_apply(self, blob: bytes) -> bool:
         """Apply a delta unless it is already acked (idempotent
         catch-up); returns whether it advanced the state."""
-        header, _ = decode_delta(blob)
+        header, sections = decode_delta(blob)
         epoch = header.get("epoch")
         if isinstance(epoch, int) and epoch <= self._epoch:
             return False
-        self.apply(blob)
+        self._apply_decoded(header, sections)
         return True
 
     def follow(self, frames) -> int:

@@ -60,9 +60,8 @@ import numpy as np
 from ..wire import (KIND_PIPELINE, WireError, decode_frame, encode_frame,
                     peek_header)
 from .checkpoint import (FORMAT_VERSION, IncompatibleShards, StaleCheckpoint,
-                         _load_state, build_twin,
-                         checkpoint as snapshot, clone, fresh_twin,
-                         map_mismatches, merge_into, params_of,
+                         _load_state, checkpoint as snapshot, clone,
+                         fresh_twin, map_mismatches, merge_into, params_of,
                          restore as restore_blob, spec_for, state_arrays)
 from .delta import (DeltaError, OutOfOrderDelta,
                     apply as apply_delta, decode as decode_delta,
@@ -776,11 +775,9 @@ class ShardedPipeline:
                 folded = _fold_tree(states, clone_targets=False)
                 arrays, updates_ingested = _apply_delta_chain(
                     folded, updates_ingested, delta_blobs)
-                twin = build_twin(type(folded).__name__,
-                                  params_of(folded))
-                _load_state(twin, arrays)
+                _load_state(folded, arrays)
                 states = _seat_states(
-                    twin, new_k if new_k is not None else declared)
+                    folded, new_k if new_k is not None else declared)
                 declared = len(states)
                 cursor = 0
             elif new_k is not None:
@@ -903,7 +900,7 @@ def _apply_delta_chain(folded, epoch: int, delta_blobs: list) -> tuple:
     class_name = type(folded).__name__
     params = params_of(folded)
     for index, blob in enumerate(delta_blobs):
-        header, _ = decode_delta(blob)
+        header, sections = decode_delta(blob)
         if header.get("class") != class_name \
                 or header.get("params") != params:
             raise DeltaError(
@@ -917,7 +914,7 @@ def _apply_delta_chain(folded, epoch: int, delta_blobs: list) -> tuple:
                 f"{header.get('base_epoch')!r} but the chain is at "
                 f"epoch {epoch} (deltas must be applied in order, "
                 f"each starting where the previous ended)")
-        header, arrays = apply_delta(arrays, blob)
+        arrays = apply_delta(arrays, header, sections)
         epoch = header["epoch"]
     return arrays, epoch
 

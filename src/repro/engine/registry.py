@@ -108,6 +108,7 @@ def _register_samplers() -> None:
         arrays=lambda obj: [_pcg64_state_array(obj._choice_rng)],
         set_arrays=_set_l0_choice_rng,
         merge=lambda obj, other: obj.merge(other),
+        copy=lambda obj: obj.copy(),
         exact=True,
     ))
 

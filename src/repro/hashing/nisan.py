@@ -21,8 +21,8 @@ without materialising the whole pseudo-random string.
 
 We use ``b = 61``-bit blocks and hashes ``h(x) = a*x + c mod (2^61 - 1)``
 (pairwise independent over the Mersenne-61 field; arithmetic is done in
-Python integers to avoid uint64 overflow, vectorised via numpy object
-arrays only where needed — block computations are cheap).
+Python integers in the scalar :meth:`NisanPRG.block`, and as exact
+uint64 limb arithmetic in the vectorised :meth:`NisanPRG.blocks`).
 
 Seed size: ``(2k + 1)`` field elements = ``(2k + 1) * 61`` bits; with
 ``k = ceil(log2 n)`` this is the O(log^2 n) bits the theorem charges.
@@ -80,11 +80,20 @@ class NisanPRG:
         return value
 
     def blocks(self, indices) -> np.ndarray:
-        """Vector form of :meth:`block` over an array of indices."""
+        """Vector form of :meth:`block` over an array of indices.
+
+        One masked affine step per hash level, in exact uint64
+        Mersenne-61 arithmetic (:func:`_affine61`); :meth:`block` is the
+        Python-int oracle.
+        """
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        out = np.empty(idx.shape, dtype=np.uint64)
-        for pos, j in enumerate(idx):
-            out[pos] = self.block(int(j))
+        if idx.size and (idx.min() < 0 or idx.max() >= self.num_blocks):
+            raise IndexError("block index out of range")
+        out = np.full(idx.shape, self.start, dtype=np.uint64)
+        for i in range(self.depth - 1, -1, -1):
+            chosen = ((idx >> i) & 1).astype(bool)
+            out[chosen] = _affine61(out[chosen], self.mults[i],
+                                    self.adds[i])
         return out
 
     def uniform(self, indices) -> np.ndarray:
@@ -107,6 +116,34 @@ class NisanPRG:
     def space_bits(self) -> int:
         """Seed storage: (2*depth + 1) field elements of 61 bits."""
         return (2 * self.depth + 1) * 61
+
+
+_M61 = np.uint64(_MASK61)
+_LOW29 = np.uint64((1 << 29) - 1)
+_LOW32 = np.uint64((1 << 32) - 1)
+
+
+def _fold61(x: np.ndarray) -> np.ndarray:
+    """Reduce uint64 values below ``2**63`` into ``[0, 2**61 - 1)``."""
+    x = (x & _M61) + (x >> np.uint64(61))          # < 2**61 + 4
+    return np.where(x >= _M61, x - _M61, x)
+
+
+def _affine61(x: np.ndarray, mult: int, add: int) -> np.ndarray:
+    """``(mult * x + add) mod (2**61 - 1)`` for uint64 ``x < 2**61 - 1``.
+
+    With 32-bit halves ``x = x1 2^32 + x0`` and ``m = m1 2^32 + m0``
+    (``x1, m1 < 2^29``), ``2^64 = 8`` and ``2^61 = 1`` modulo the prime,
+    so every partial product folds into a uint64 sum below ``2**63``.
+    """
+    x1, x0 = x >> np.uint64(32), x & _LOW32
+    m1, m0 = np.uint64(mult >> 32), np.uint64(mult & 0xFFFFFFFF)
+    mid = x1 * m0 + x0 * m1                        # < 2**62
+    low = x0 * m0                                  # < 2**64
+    total = ((x1 * m1) << np.uint64(3)) + (mid >> np.uint64(29)) \
+        + ((mid & _LOW29) << np.uint64(32)) \
+        + (low & _M61) + (low >> np.uint64(61))
+    return _fold61(_fold61(total) + np.uint64(add))
 
 
 def prg_for_universe(universe: int, streams: int,

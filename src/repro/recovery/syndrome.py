@@ -186,8 +186,16 @@ class SyndromeSparseRecovery(LinearSketch):
 
     # -- decoding --------------------------------------------------------------------
 
-    def recover(self) -> RecoveryResult:
-        """Decode: the exact vector if s-sparse, otherwise DENSE (whp)."""
+    def recover(self, candidates: np.ndarray | None = None) -> RecoveryResult:
+        """Decode: the exact vector if s-sparse, otherwise DENSE (whp).
+
+        ``candidates`` (internal) restricts the root search to the given
+        coordinates, for callers that know the sketched vector is
+        supported on them.  A candidate is accepted only when the
+        restricted search finds all ``degree`` roots and the
+        fingerprints verify, so the answer equals the full-universe
+        search whenever that search's support lies in ``candidates``.
+        """
         if not self.syndromes.any() and not self.fp_values.any():
             return RecoveryResult(dense=False,
                                   indices=np.array([], dtype=np.int64),
@@ -197,7 +205,7 @@ class SyndromeSparseRecovery(LinearSketch):
         degree = len(connection) - 1
         if degree > self.sparsity or degree == 0:
             return RecoveryResult(dense=True)
-        support = self._find_support(connection)
+        support = self._find_support(connection, candidates)
         if support is None:
             return RecoveryResult(dense=True)
         values = self._solve_values(support, degree)
@@ -208,21 +216,31 @@ class SyndromeSparseRecovery(LinearSketch):
             return RecoveryResult(dense=True)
         return candidate
 
-    def _find_support(self, connection: list[int]) -> np.ndarray | None:
+    def _find_support(self, connection: list[int],
+                      candidates: np.ndarray | None = None
+                      ) -> np.ndarray | None:
         """Roots of the reversed connection polynomial among the locators.
 
         ``C(X) = prod (1 - a_k X)`` so the locators are the roots of the
         reversed polynomial ``X^L C(1/X) = prod (X - a_k)``.  We evaluate
-        it at every locator ``a = 1..n`` with vectorised Horner.
+        it with vectorised Horner at every locator ``a = 1..n``, or only
+        at ``i + 1`` for ``i`` in ``candidates``.  The polynomial is
+        monic of degree ``L``, so it has at most ``L`` roots: finding
+        ``L`` of them among the candidates finds them all.  Indices come
+        back sorted either way.
         """
         reversed_coeffs = list(reversed(connection))
-        locators = np.arange(1, self.universe + 1, dtype=np.uint64)
-        evals = self.field.poly_eval(reversed_coeffs, locators)
-        roots = np.flatnonzero(evals == 0)
-        degree = len(connection) - 1
-        if roots.size != degree:
+        if candidates is None:
+            locators = np.arange(1, self.universe + 1, dtype=np.uint64)
+        else:
+            locators = np.asarray(candidates).astype(np.uint64) + 1
+        roots = np.flatnonzero(
+            self.field.poly_eval(reversed_coeffs, locators) == 0)
+        if roots.size != len(connection) - 1:
             return None
-        return roots.astype(np.int64)  # root at position i-1 <=> locator i+... index = locator-1
+        if candidates is None:
+            return roots.astype(np.int64)    # position i is locator i + 1
+        return np.sort(np.asarray(candidates)[roots].astype(np.int64))
 
     def _solve_values(self, support: np.ndarray,
                       degree: int) -> np.ndarray | None:

@@ -281,6 +281,61 @@ class TestFollower:
         assert len(follower.acked_epochs) == len(chain) + 1
 
 
+class TestFollowerDecodesOnce:
+    """Each delta frame is decoded (and inflated) once per apply, on
+    every path that applies deltas, and the typed errors survive."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        import repro.engine.delta as delta_module
+
+        calls = []
+        real = delta_module.decode_frame
+
+        def counting(blob, *args, **kwargs):
+            calls.append(len(blob))
+            return real(blob, *args, **kwargs)
+
+        monkeypatch.setattr(delta_module, "decode_frame", counting)
+        return calls
+
+    def test_one_decode_per_applied_delta(self, decodes):
+        base, chain, leader_bytes, _ = TestFollower()._stream(
+            SHARDABLE[0], parts=5)
+        follower = FollowerPipeline(base)
+        assert decodes == []
+        follower.apply(chain[0])
+        assert len(decodes) == 1
+        decodes.clear()
+        # follow() skips the acked frame: still one decode per frame.
+        assert follower.follow(chain) == len(chain) - 1
+        assert len(decodes) == len(chain)
+        assert snapshot_structure(follower.merged()) == leader_bytes
+        decodes.clear()
+        with ShardedPipeline.restore(base, deltas=chain) as restored:
+            assert _merged_bytes(restored) == leader_bytes
+        assert len(decodes) == len(chain)
+
+    def test_typed_errors_survive(self, decodes):
+        from repro.wire import decode_frame, encode_frame
+
+        base, chain = TestDeltaErrors()._base_and_chain(seed=5)
+        other_base, _ = TestDeltaErrors()._base_and_chain(seed=99)
+        with pytest.raises(OutOfOrderDelta):
+            FollowerPipeline(base).apply(chain[1])
+        with pytest.raises(WrongBaseDelta):      # same epochs, other state
+            FollowerPipeline(other_base).follow(chain[:1])
+        # A well-formed frame whose payload was altered: decodes fine,
+        # fails the target digest.
+        frame = decode_frame(chain[0])
+        sections = [np.array(section) for section in frame.sections]
+        sections[0].reshape(-1)[0] ^= 1
+        forged = encode_frame(frame.kind, frame.header, sections,
+                              compress="zlib")
+        with pytest.raises(DeltaError, match="digest does not match"):
+            FollowerPipeline(base).apply(forged)
+
+
 class TestDeltaProcessBackend:
     """Delta restore and promotion under the process backend (runs in
     the CI worker lane; deselected from the fast lane)."""

@@ -10,6 +10,7 @@ import pytest
 from repro.core import L0Sampler
 from repro.engine import (FORMAT_VERSION, ShardedPipeline, StaleCheckpoint,
                           checkpoint, clone, restore, state_arrays)
+from repro.engine.checkpoint import _reference_clone
 from repro.wire import decode_frame, encode_frame
 
 from _engine_cases import CASES, CASE_IDS, feed
@@ -47,10 +48,35 @@ class TestRoundtrip:
         original = case.factory(128, 5)
         feed(case, original, 128, 40, 5)
         twin = clone(original)
+        assert checkpoint(twin) == checkpoint(_reference_clone(original))
         before = [np.array(a, copy=True) for a in state_arrays(twin)]
         feed(case, original, 128, 40, 7)
+        _draws(original)
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, state_arrays(twin)))
+        # ... and the other way round: the source ignores the clone.
+        source = checkpoint(original)
+        feed(case, twin, 128, 40, 8)
+        _draws(twin)
+        assert checkpoint(original) == source
+
+    def test_clone_behaves_like_reference_clone(self, case):
+        original = case.factory(128, 5)
+        feed(case, original, 128, 40, 5)
+        _draws(original)
+        fast, slow = clone(original), _reference_clone(original)
+        for seed in (7, 8):
+            feed(case, fast, 128, 40, seed)
+            feed(case, slow, 128, 40, seed)
+            assert _draws(fast) == _draws(slow)
+            assert checkpoint(fast) == checkpoint(slow)
+
+
+def _draws(structure) -> list[str]:
+    """Three draws from a sampler (reprs, so NaN estimates compare),
+    or nothing for structures without ``sample``."""
+    sample = getattr(structure, "sample", None)
+    return [] if sample is None else [repr(sample()) for _ in range(3)]
 
 
 class TestQueryRNGContinuity:

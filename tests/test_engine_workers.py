@@ -184,6 +184,32 @@ class TestMergedIsIdempotentUnderProcessBackend:
         assert states_equal(single, merged, exact=True)
 
 
+class TestLevelIndexBuiltOncePerPipeline:
+    def test_every_epoch_reuses_the_first_decodes_index(self, monkeypatch):
+        """Each process-backend ``merged()`` restores new twins from the
+        worker snapshots; their decodes find the L0 level index of the
+        pipeline's map instead of rebuilding it per epoch."""
+        import repro.core.l0_sampler as l0_module
+
+        monkeypatch.setattr(l0_module, "_LEVEL_INDEXES",
+                            l0_module.OrderedDict())
+        builds = []
+        real = L0Sampler._build_level_index
+        monkeypatch.setattr(L0Sampler, "_build_level_index",
+                            lambda self: builds.append(1) or real(self))
+        indices, deltas = random_turnstile(512, 200, 3)
+        single = L0Sampler(512, delta=0.2, seed=6)
+        single.update_many(indices, deltas)
+        with ShardedPipeline(lambda: L0Sampler(512, delta=0.2, seed=6),
+                             shards=2, chunk_size=50,
+                             backend="process") as pipeline:
+            for lo in (0, 100):
+                pipeline.ingest(indices[lo:lo + 100], deltas[lo:lo + 100])
+                pipeline.merged().sample(count=2)
+            assert len(builds) == 1
+            assert checkpoint(pipeline.merged()) == checkpoint(single)
+
+
 class TestWorkerCrash:
     FACTORY = staticmethod(lambda: L0Sampler(64, delta=0.2, seed=1))
 

@@ -188,3 +188,141 @@ class TestSampleCount:
         assert len(sampler.sample(count=1)) == 1
         with pytest.raises(ValueError, match="count"):
             sampler.sample(count=-1)
+
+
+class TestLevelSubsetDecode:
+    """Each level's root search runs over its own coordinate set I_k.
+
+    The oracle is the full-universe search (``recover()`` with no
+    candidates): on every level, and through ``sample(count=k)``, the
+    restricted search must give the same answers and consume the choice
+    RNG identically.
+    """
+
+    UNIVERSES = [1, 3, 1000, 4099, (1 << 17) + 5]
+
+    @staticmethod
+    def _filled(universe, mode, support):
+        """Support 0 leaves every level zero; a small support makes the
+        shallow levels sparse; a wide one makes them dense."""
+        sampler = L0Sampler(universe, delta=0.1, seed=universe % 97,
+                            mode=mode)
+        rng = np.random.default_rng(universe)
+        coords = rng.choice(universe, size=min(support, universe),
+                            replace=False)
+        if coords.size:
+            sampler.update_many(coords, rng.integers(1, 9,
+                                                     size=coords.size))
+        return sampler
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    @pytest.mark.parametrize("mode", ["kwise", "nisan"])
+    def test_level_sets_are_the_survival_sets(self, universe, mode):
+        sampler = L0Sampler(universe, delta=0.1, seed=3, mode=mode)
+        depth = sampler._survival_depth(np.arange(universe))
+        for level in range(sampler.levels):
+            members = sampler._level_set(level)
+            assert members.dtype == np.int32
+            assert np.array_equal(np.sort(members),
+                                  np.flatnonzero(depth >= level))
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    @pytest.mark.parametrize("mode", ["kwise", "nisan"])
+    @pytest.mark.parametrize("support", [0, 6, 40, 3000])
+    def test_restricted_recover_equals_full(self, universe, mode, support):
+        sampler = self._filled(universe, mode, support)
+        outcomes = set()
+        for level, recovery in enumerate(sampler._recoveries):
+            full = recovery.recover()
+            restricted = recovery.recover(
+                candidates=sampler._level_set(level))
+            assert restricted.dense == full.dense
+            if not full.dense:
+                assert np.array_equal(restricted.indices, full.indices)
+                assert np.array_equal(restricted.values, full.values)
+                assert restricted.indices.dtype == np.int64
+            outcomes.add("dense" if full.dense else
+                         "zero" if full.is_zero else "sparse")
+        if support == 0:
+            assert outcomes == {"zero"}
+        elif universe > 3000 and support == 3000:
+            assert {"dense", "sparse"} <= outcomes
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    @pytest.mark.parametrize("mode", ["kwise", "nisan"])
+    @pytest.mark.parametrize("support", [0, 6, 3000])
+    def test_sample_equals_full_universe_decode(self, universe, mode,
+                                                support, monkeypatch):
+        from repro.engine.checkpoint import _reference_clone
+
+        restricted = self._filled(universe, mode, support)
+        full = _reference_clone(restricted)
+        drawn = restricted.sample(count=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(L0Sampler, "_level_set",
+                          lambda self, level: None)
+            oracle = full.sample(count=4)
+        assert drawn == oracle
+        assert (restricted._choice_rng.bit_generator.state
+                == full._choice_rng.bit_generator.state)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """An empty level-index cache; records the map of each build."""
+        import repro.core.l0_sampler as l0_module
+
+        monkeypatch.setattr(l0_module, "_LEVEL_INDEXES",
+                            l0_module.OrderedDict())
+        calls = []
+        real = L0Sampler._build_level_index
+
+        def counting(sampler):
+            calls.append((sampler.mode, sampler.universe, sampler.seed))
+            return real(sampler)
+
+        monkeypatch.setattr(L0Sampler, "_build_level_index", counting)
+        return calls
+
+    def test_index_is_outside_params_state_and_bytes(self, builds):
+        from repro.engine import checkpoint, state_arrays
+
+        sampler = self._filled(4099, "kwise", 40)
+        params = sampler._params()
+        arrays = len(state_arrays(sampler))
+        blob = checkpoint(sampler)
+        sampler._level_set(1)                   # builds the index
+        assert builds == [("kwise", 4099, 4099 % 97)]
+        assert sampler._params() == params
+        assert len(state_arrays(sampler)) == arrays
+        assert checkpoint(sampler) == blob
+
+    def test_index_is_built_once_per_map(self, builds):
+        from repro.engine import checkpoint, clone, restore
+        from repro.engine.checkpoint import _reference_clone
+
+        sampler = self._filled(4099, "kwise", 40)
+        table = sampler._level_set(0)
+        same_map = [clone(sampler), _reference_clone(sampler),
+                    restore(checkpoint(sampler)),
+                    L0Sampler(4099, delta=0.3, seed=sampler.seed)]
+        for twin in same_map:
+            twin.sample(count=2)
+            assert np.shares_memory(twin._level_set(0), table)
+        assert len(builds) == 1
+        other = L0Sampler(4099, delta=0.1, seed=sampler.seed + 1)
+        assert not np.shares_memory(other._level_set(0), table)
+        assert len(builds) == 2
+
+    def test_cache_keeps_the_most_recent_maps(self, builds):
+        import repro.core.l0_sampler as l0_module
+
+        maps = l0_module._LEVEL_INDEX_MAPS
+        samplers = [L0Sampler(64, seed=seed) for seed in range(maps + 1)]
+        for sampler in samplers:
+            sampler._level_set(1)
+        assert len(l0_module._LEVEL_INDEXES) == maps
+        samplers[-1]._level_set(1)              # still cached
+        assert len(builds) == maps + 1
+        samplers[0]._level_set(1)               # evicted: rebuilt
+        assert len(builds) == maps + 2
+        assert len(l0_module._LEVEL_INDEXES) == maps

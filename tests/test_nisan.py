@@ -17,6 +17,41 @@ class TestBlocks:
         again = g.blocks(np.arange(g.num_blocks))
         assert blocks == [int(v) for v in again]
 
+    def test_vectorised_blocks_match_scalar_at_the_field_edges(self, rng):
+        """Extreme seeds exercise every limb of the uint64 arithmetic."""
+        g = NisanPRG(6, rng)
+        top = (1 << 61) - 2
+        g.start = top
+        g.mults = [top, 1, 1 << 32, (1 << 32) - 1, 1 << 60, top - 1]
+        g.adds = [top, 0, 5, 1 << 60, top, 1]
+        blocks = [g.block(j) for j in range(g.num_blocks)]
+        assert blocks == [int(v) for v in g.blocks(np.arange(64))]
+
+    def test_vectorised_blocks_match_scalar_on_random_indices(self, rng):
+        g = NisanPRG(20, rng)
+        indices = rng.integers(0, g.num_blocks, size=500)
+        assert [g.block(int(j)) for j in indices] \
+            == [int(v) for v in g.blocks(indices)]
+
+    def test_affine_step_is_exact(self, rng):
+        from repro.hashing.nisan import _affine61
+
+        prime = (1 << 61) - 1
+        xs = rng.integers(0, prime, size=2000, dtype=np.uint64)
+        xs[:4] = [0, 1, prime - 1, (1 << 32) - 1]
+        for mult, add in [(prime - 1, prime - 1), (1, 0), (1 << 32, 7),
+                          (int(rng.integers(1, prime)),
+                           int(rng.integers(0, prime)))]:
+            got = _affine61(xs, mult, add)
+            assert [int(v) for v in got] \
+                == [(mult * int(x) + add) % prime for x in xs]
+
+    def test_vectorised_blocks_reject_out_of_range(self, rng):
+        g = NisanPRG(3, rng)
+        for bad in ([0, 8], [-1]):
+            with pytest.raises(IndexError):
+                g.blocks(np.array(bad))
+
     def test_block_zero_is_seed(self, rng):
         g = NisanPRG(5, rng)
         assert g.block(0) == g.start
