@@ -15,6 +15,13 @@ a :class:`QueryService`, the exact stack ``repro daemon`` runs):
    a base load, the leader keeps ingesting, and the follower must end
    byte-identical to the leader's over-the-wire checkpoint; the time
    from last ack to the follower reaching that epoch is the lag.
+4. **L0 ingest with a follower** — the daemon's paper-structure serving
+   path: ``L0Sampler`` batches of 4096 updates, a snapshot per batch
+   and one live :class:`SocketFollower` taking every epoch's delta.
+   Each ack is sent before that epoch's turnover (capture, prewarm,
+   delta), so the ack p50/p99 time the apply alone.  Reported, not
+   floored: the old ack-after-turnover order is not kept to compare
+   against.  The follower must end byte-identical.
 
 Run as a script to emit a machine-readable ``BENCH_net.json``:
 
@@ -29,6 +36,7 @@ import time
 
 import numpy as np
 
+from repro.core import L0Sampler
 from repro.engine import ShardedPipeline
 from repro.engine import checkpoint as snapshot_structure
 from repro.net import ReproClient, ServerThread, SocketFollower
@@ -41,11 +49,18 @@ REQUEST_HEADER = ["clients", "requests", "wall s", "requests/s"]
 
 INGEST_HEADER = ["batch", "batches", "MB/s", "updates/s"]
 
+L0_HEADER = ["batch", "batches", "ack p50 ms", "ack p99 ms", "updates/s",
+             "byte-identical", "gapless"]
+
 #: Concurrent-client counts for the request-throughput sweep.
 CLIENT_COUNTS = (1, 2, 4)
 
 #: Bumped when the BENCH_net.json layout changes.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
+
+#: The L0 row's universe and batch: the ``l0-turnstile`` daemon shape.
+L0_UNIVERSE = 1 << 16
+L0_BATCH = 4096
 
 
 def _factory(universe: int, seed: int = 5):
@@ -156,6 +171,46 @@ def _follower_record(universe, updates, batches):
     }
 
 
+def l0_follower_experiment(batches=64):
+    universe, batch = L0_UNIVERSE, L0_BATCH
+    indices, deltas = _workload(universe, batches * batch, seed=3)
+    pipeline = ShardedPipeline(
+        lambda: L0Sampler(universe, delta=0.1, seed=0), shards=2,
+        chunk_size=batch, backend="serial")
+    service = QueryService(pipeline, refresh_every=1, keep=4)
+    acks = []
+    with service, ServerThread(service) as server, \
+            ReproClient(server.host, server.port) as client, \
+            SocketFollower(server.host, server.port) as follower:
+        begin = time.perf_counter()
+        for start in range(0, batches * batch, batch):
+            sent = time.perf_counter()
+            reply = client.ingest(indices[start:start + batch],
+                                  deltas[start:start + batch])
+            acks.append(time.perf_counter() - sent)
+            follower.poll(timeout=0)
+        wall = time.perf_counter() - begin
+        final_epoch = reply.result["epoch"]
+        follower.wait_for_epoch(final_epoch, timeout=120)
+        with ShardedPipeline.restore(client.checkpoint()) as leader:
+            identical = (snapshot_structure(leader.merged())
+                         == snapshot_structure(follower.merged()))
+        gapless = follower.acked_epochs == tuple(
+            range(0, final_epoch + 1, batch))
+    acks_ms = np.array(acks) * 1e3
+    return {
+        "structure": "L0Sampler",
+        "universe": universe,
+        "batch": batch,
+        "batches": batches,
+        "ack_p50_ms": float(np.percentile(acks_ms, 50)),
+        "ack_p99_ms": float(np.percentile(acks_ms, 99)),
+        "updates_per_s": batches * batch / wall,
+        "byte_identical": bool(identical),
+        "gapless": bool(gapless),
+    }
+
+
 def request_experiment(universe=1 << 11, requests=2000):
     return _request_records(universe, requests)
 
@@ -179,7 +234,15 @@ def _ingest_rows(record):
              f"{record['updates_per_s']:,.0f}"]]
 
 
-def write_report(requests, ingest, follower, path: str) -> dict:
+def _l0_rows(record):
+    return [[f"{record['batch']:,}", record["batches"],
+             f"{record['ack_p50_ms']:.2f}", f"{record['ack_p99_ms']:.2f}",
+             f"{record['updates_per_s']:,.0f}", record["byte_identical"],
+             record["gapless"]]]
+
+
+def write_report(requests, ingest, follower, l0_follower,
+                 path: str) -> dict:
     report = {
         "bench": "net",
         "schema": REPORT_SCHEMA,
@@ -188,6 +251,7 @@ def write_report(requests, ingest, follower, path: str) -> dict:
         "request_rows": requests,
         "ingest_rows": [ingest],
         "follower": follower,
+        "l0_follower_rows": [l0_follower],
     }
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -226,6 +290,16 @@ def test_follower_catchup(benchmark):
     assert record["deltas"] >= 1
 
 
+def test_l0_ingest_with_follower(benchmark):
+    record = benchmark.pedantic(l0_follower_experiment, rounds=1,
+                                iterations=1, kwargs={"batches": 8})
+    print_table("E-NET: L0 ingest with a live follower", L0_HEADER,
+                _l0_rows(record))
+    assert record["byte_identical"] is True
+    assert record["gapless"] is True
+    assert record["updates_per_s"] > 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--universe", type=int, default=1 << 11)
@@ -238,6 +312,8 @@ def main(argv=None) -> int:
     parser.add_argument("--follower-updates", type=int, default=80_000)
     parser.add_argument("--batches", type=int, default=8,
                         help="follower catch-up chain length")
+    parser.add_argument("--l0-batches", type=int, default=64,
+                        help="L0 ingest-with-follower batches")
     parser.add_argument("--out", default="BENCH_net.json")
     args = parser.parse_args(argv)
 
@@ -245,6 +321,7 @@ def main(argv=None) -> int:
     ingest = ingest_experiment(args.universe, args.updates, args.batch)
     follower = follower_experiment(args.universe, args.follower_updates,
                                    args.batches)
+    l0_follower = l0_follower_experiment(batches=args.l0_batches)
 
     print_table("E-NET: requests/s vs concurrent clients",
                 REQUEST_HEADER, _request_rows(requests))
@@ -253,11 +330,15 @@ def main(argv=None) -> int:
     print(f"\nfollower: caught up {follower['deltas']} deltas to epoch "
           f"{follower['final_epoch']:,} in {follower['catchup_s']:.3f}s "
           f"(byte-identical: {follower['byte_identical']})")
+    print_table("E-NET: L0 ingest with a live follower", L0_HEADER,
+                _l0_rows(l0_follower))
 
-    report = write_report(requests, ingest, follower, args.out)
+    report = write_report(requests, ingest, follower, l0_follower,
+                          args.out)
     print(f"\nwrote {args.out} "
           f"({len(json.dumps(report))} bytes of JSON)")
-    if not follower["byte_identical"]:
+    if not (follower["byte_identical"] and l0_follower["byte_identical"]
+            and l0_follower["gapless"]):
         return 1
     return 0
 

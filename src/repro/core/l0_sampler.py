@@ -30,7 +30,6 @@ below Frahling–Indyk–Sohler.
 
 from __future__ import annotations
 
-import copy as _copy
 import threading
 from collections import OrderedDict
 
@@ -308,7 +307,8 @@ class L0Sampler(StreamingSampler):
         build-and-load clone.  The power tables
         are dropped: copies serve queries and rarely ingest.
         """
-        twin = _copy.copy(self)
+        twin = type(self).__new__(type(self))
+        twin.__dict__.update(self.__dict__)
         twin._choice_rng = np.random.Generator(np.random.PCG64(0))
         twin._choice_rng.bit_generator.state = \
             self._choice_rng.bit_generator.state

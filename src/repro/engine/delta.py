@@ -95,14 +95,16 @@ def _apply(base: np.ndarray, section: np.ndarray,
                      f"{encoding!r}")
 
 
-def encode(meta: dict, base_arrays, now_arrays,
-           compress: str = "zlib") -> bytes:
+def encode(meta: dict, base_arrays, now_arrays, base_digest: str,
+           now_digest: str, compress: str = "zlib") -> bytes:
     """Encode ``now - base`` as a ``KIND_DELTA`` frame.
 
     ``meta`` carries the caller's identity fields (class, params,
-    ``base_epoch``, ``epoch``, ...); this function adds the state
-    digests and per-array encodings.  Deltas default to zlib because
-    their payloads are mostly zeros.
+    ``base_epoch``, ``epoch``, ...); this function adds the two states'
+    :func:`state_digest` values, which the caller passes in (a pipeline
+    already holds its base's digest: the previous delta's target), and
+    the per-array encodings.  Deltas default to zlib because their
+    payloads are mostly zeros.
     """
     base = [np.ascontiguousarray(a) for a in base_arrays]
     now = [np.ascontiguousarray(a) for a in now_arrays]
@@ -119,8 +121,8 @@ def encode(meta: dict, base_arrays, now_arrays,
         sections.append(_diff(old, new))
         encodings.append(_encoding_for(old.dtype))
     header = dict(meta)
-    header["base_digest"] = state_digest(base)
-    header["target_digest"] = state_digest(now)
+    header["base_digest"] = base_digest
+    header["target_digest"] = now_digest
     header["encodings"] = encodings
     return encode_frame(KIND_DELTA, header, sections, compress=compress)
 
@@ -149,19 +151,25 @@ def decode(blob: bytes):
     return header, frame.sections
 
 
-def apply(base_arrays, header: dict, sections: list) -> list:
+def apply(base_arrays, header: dict, sections: list, *,
+          base_digest: str | None = None) -> list:
     """Apply one delta, as :func:`decode` returned it, to a base state.
 
     Taking the decoded ``(header, sections)`` lets a caller that read
     the header first (to check epochs and identity) apply the frame
-    without decoding and inflating it twice.  Returns the new arrays,
+    without decoding and inflating it twice.  ``base_digest`` is the
+    caller's :func:`state_digest` of ``base_arrays`` when it holds one
+    (the previous apply's verified target digest), which skips hashing
+    the base again.  Returns the new arrays,
     byte-identical to the state the delta was encoded from.  Raises
     :class:`WrongBaseDelta` when the base digest does not match and
     :class:`DeltaError` when the result digest fails to verify (a
     corrupted but well-formed frame).
     """
     base = [np.ascontiguousarray(a) for a in base_arrays]
-    if state_digest(base) != header["base_digest"]:
+    if base_digest is None:
+        base_digest = state_digest(base)
+    if base_digest != header["base_digest"]:
         raise WrongBaseDelta(
             f"delta for epochs {header['base_epoch']}->{header['epoch']} "
             f"was computed against a different base state")

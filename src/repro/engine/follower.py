@@ -66,6 +66,10 @@ class FollowerPipeline:
             self._chunk_size = booted.chunk_size
             self._epoch = booted.updates_ingested
         self._acked = [self._epoch]
+        #: The standby state's digest once an apply verified it (each
+        #: delta's target digest is the next delta's base digest), so
+        #: the state is hashed once per delta, not twice.
+        self._digest: str | None = None
 
     # -- introspection -------------------------------------------------------
 
@@ -108,8 +112,10 @@ class FollowerPipeline:
                 f"delta starts at epoch {header.get('base_epoch')!r} "
                 f"but the follower is at epoch {self._epoch}")
         arrays = state_arrays(self._structure)
-        advanced = apply_delta(arrays, header, sections)
+        advanced = apply_delta(arrays, header, sections,
+                               base_digest=self._digest)
         _load_state(self._structure, advanced)
+        self._digest = header["target_digest"]
         self._epoch = header["epoch"]
         self._acked.append(self._epoch)
         return self._epoch

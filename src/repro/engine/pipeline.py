@@ -65,7 +65,7 @@ from .checkpoint import (FORMAT_VERSION, IncompatibleShards, StaleCheckpoint,
                          restore as restore_blob, spec_for, state_arrays)
 from .delta import (DeltaError, OutOfOrderDelta,
                     apply as apply_delta, decode as decode_delta,
-                    encode as encode_delta)
+                    encode as encode_delta, state_digest)
 from .workers import BACKENDS, TRANSPORTS, ProcessPool, build_pool
 
 #: Magic of the retired pre-wire pipeline format (legacy reader only).
@@ -279,7 +279,7 @@ class ShardedPipeline:
         self._closed = False
         self._poisoned = False  # a chunk failed after partial fan-out
         self._merged_cache = None  # (epoch, folded) — see merged()
-        self._delta_bases = OrderedDict()  # epoch -> merged state arrays
+        self._delta_bases = OrderedDict()  # epoch -> [fold arrays, digest]
         self._shm_fallbacks_base = 0  # carried across reshards
         self._restarts_base = 0       # carried across reshards
         built = [factory() for _ in range(int(shards))]
@@ -509,8 +509,9 @@ class ShardedPipeline:
         return clone(self._folded())
 
     def _folded(self) -> object:
-        """The epoch-memoized fold itself (callers must clone before
-        mutating; checkpoint paths only read its state arrays)."""
+        """The epoch-memoized fold itself.  Nothing may mutate it:
+        :meth:`merged` clones it, while checkpoints, the delta-base
+        ring and service snapshots share it read-only."""
         cached = self._merged_cache
         if cached is None or cached[0] != self.updates_ingested:
             folded = _fold_tree(self._pool.structures(),
@@ -626,7 +627,7 @@ class ShardedPipeline:
             frame = encode_frame(
                 KIND_PIPELINE, header, sections,
                 compress="none" if compress is None else compress)
-            self._remember_base()
+            self._remember_base(None)
             return frame
         base_epoch = int(since)
         base = self._delta_bases.get(base_epoch)
@@ -644,18 +645,29 @@ class ShardedPipeline:
             "base_epoch": base_epoch,
             "epoch": self.updates_ingested,
         }
+        base_arrays, base_digest = base
+        if base_digest is None:
+            base_digest = base[1] = state_digest(base_arrays)
+        now_arrays = state_arrays(folded)
+        now_digest = state_digest(now_arrays)
         frame = encode_delta(
-            meta, base, state_arrays(folded),
+            meta, base_arrays, now_arrays, base_digest, now_digest,
             compress="zlib" if compress is None else compress)
-        self._remember_base()
+        self._remember_base(now_digest)
         return frame
 
-    def _remember_base(self) -> None:
-        """Retain the current merged state as a future delta base."""
-        arrays = [np.array(a, copy=True)
-                  for a in state_arrays(self._folded())]
+    def _remember_base(self, digest: str | None) -> None:
+        """Retain the current merged state as a future delta base.
+
+        The base is the memoized fold's own arrays, not a copy: nothing
+        mutates a fold once built (ingestion builds the next epoch's
+        fold afresh, :meth:`merged` hands out clones, and snapshots
+        share it read-only).  ``digest`` is its :func:`state_digest`
+        when already known (a delta just hashed it as its target);
+        otherwise the first delta taken from this base computes it.
+        """
         epoch = self.updates_ingested
-        self._delta_bases[epoch] = arrays
+        self._delta_bases[epoch] = [state_arrays(self._folded()), digest]
         self._delta_bases.move_to_end(epoch)
         while len(self._delta_bases) > DELTA_BASE_RETENTION:
             self._delta_bases.popitem(last=False)
@@ -897,6 +909,7 @@ def _apply_delta_chain(folded, epoch: int, delta_blobs: list) -> tuple:
     """Advance ``folded``'s state arrays through an ordered delta
     chain; returns ``(arrays, final epoch)``."""
     arrays = state_arrays(folded)
+    digest = None
     class_name = type(folded).__name__
     params = params_of(folded)
     for index, blob in enumerate(delta_blobs):
@@ -914,7 +927,8 @@ def _apply_delta_chain(folded, epoch: int, delta_blobs: list) -> tuple:
                 f"{header.get('base_epoch')!r} but the chain is at "
                 f"epoch {epoch} (deltas must be applied in order, "
                 f"each starting where the previous ended)")
-        arrays = apply_delta(arrays, header, sections)
+        arrays = apply_delta(arrays, header, sections, base_digest=digest)
+        digest = header["target_digest"]
         epoch = header["epoch"]
     return arrays, epoch
 

@@ -18,12 +18,24 @@ being served.  All service access is serialized under one
 request — which is exactly what makes the epochs in ingest acks a
 total order an offline oracle can replay.
 
+Ack first, then turn the epoch over: an ingest is acked as soon as its
+batch is applied and flushed, and the epoch turnover — the snapshot
+capture (with its cache prewarm), then the delta broadcast — runs
+right after the ack is on the socket, under the same lock and before
+any other request is served.  The client does not wait for the
+turnover, and nothing else moves: acks form a total order, ``at=E``
+works for every later request on any connection, and a turnover
+failure is counted in ``stats.errors`` rather than answered (the ack,
+and its dedup entry, already exist; the next request's capture picks
+the epoch up).
+
 Replication invariant: while subscribers exist, *every* epoch advance
 broadcasts one delta frame under the same lock that applied it, so the
 delta chain has no gaps and a new subscriber's full base checkpoint is
-always a node of that chain.  A subscriber too slow to drain its queue
-is disconnected (it can resubscribe from a fresh base) rather than
-allowed to stall ingestion.
+always a node of that chain.  Epoch E's delta follows E's ack, so a
+follower waiting for an acked epoch uses ``wait_for_epoch``.  A
+subscriber too slow to drain its queue is disconnected (it can
+resubscribe from a fresh base) rather than allowed to stall ingestion.
 
 Shutdown (SIGTERM via :meth:`request_shutdown`): stop accepting, let
 connections finish the requests they have already received (up to
@@ -270,6 +282,7 @@ class ReproServer:
             await out.put(encode_error(0, "", type(exc).__name__,
                                        str(exc)))
             return
+        acked = delayed = False
         try:
             async with self._lock:
                 if request.op == "subscribe":
@@ -277,7 +290,14 @@ class ReproServer:
                     return
                 meta, result, sections = self._execute(request)
                 if request.op == "ingest":
-                    self._replicate()
+                    # Ack first, then turn the epoch over: the client
+                    # need not wait for the snapshot and the delta.
+                    delayed = (self._faults.active
+                               and self._faults.maybe_fire(ACK_DELAY))
+                    if not delayed:
+                        acked = _send_now(out, writer, encode_response(
+                            request.id, request.op, result, meta=meta))
+                    self._turnover()
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -287,8 +307,9 @@ class ReproServer:
             await out.put(encode_error(request.id, request.op,
                                        type(exc).__name__, str(exc)))
             return
-        if (request.op == "ingest" and self._faults.active
-                and self._faults.maybe_fire(ACK_DELAY)):
+        if acked:
+            return
+        if delayed:
             # Stall the ack past the client's timeout, *outside* the
             # lock (other connections keep being served): the batch is
             # applied but the client never hears it, so the retry it
@@ -359,11 +380,6 @@ class ReproServer:
             pipeline = svc.pipeline
             pipeline.flush()
             epoch = pipeline.updates_ingested
-            # Advance the snapshot policy at the batch boundary so the
-            # acked epoch is queryable via ``at=`` (for the last
-            # ``keep`` batches) — snapshots otherwise only capture
-            # lazily on the next query, which would skip epochs.
-            svc.current()
             result = {"count": count, "epoch": epoch,
                       "epoch_before": before}
             if rid is not None:
@@ -378,6 +394,27 @@ class ReproServer:
                     else svc.serving_snapshot())
         result = svc.router.query(snapshot, op, **args)
         return ({"epoch": snapshot.epoch}, to_jsonable(result), ())
+
+    # -- epoch turnover (service lock held, after the ack) -------------------
+
+    def _turnover(self) -> None:
+        """Capture the acked epoch and ship its delta.
+
+        Runs after an ingest's ack is on its way and before the lock
+        is released, so no other request is served in between: an
+        ``at=`` query for the acked epoch finds it, and the delta chain
+        stays gapless.  The snapshot policy advances at every batch
+        boundary — snapshots otherwise only capture lazily on the next
+        query, which would skip epochs.  A failing step is counted in
+        ``stats.errors``, never answered: the ack already went out (and
+        sits in the dedup window), and the next request's ``current()``
+        captures the epoch instead.
+        """
+        for step in (self.service.current, self._replicate):
+            try:
+                step()
+            except Exception:
+                self.service.stats.errors += 1
 
     # -- replication ---------------------------------------------------------
 
@@ -466,6 +503,21 @@ def _hangup(writer) -> None:
             sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass                    # already dead: nothing to cut
+
+
+def _send_now(queue: asyncio.Queue, writer, blob) -> bool:
+    """Put a reply on the socket without awaiting (the lock is held).
+
+    With nothing queued for the pump, every earlier reply has already
+    been handed to the transport, so writing directly keeps replies in
+    order.  Otherwise the reply joins the pump's queue behind them;
+    ``False`` (the queue is full) leaves the caller to send it once the
+    lock is released.
+    """
+    if queue.empty() and not writer.is_closing():
+        writer.write(blob)
+        return True
+    return _offer(queue, blob)
 
 
 def _offer(queue: asyncio.Queue, blob) -> bool:

@@ -3,16 +3,16 @@
 The serving layer's consistency story rests on one object:
 :class:`Snapshot`, a merged view of the stream that is *frozen* at a
 well-defined point.  The epoch is ``pipeline.updates_ingested`` at
-capture, and the captured structure is an independent clone (the
-engine's :meth:`~repro.engine.pipeline.ShardedPipeline.merged` hands
-out clones of its memoized fold), so
+capture, and the captured structure is the pipeline's memoized fold
+for that epoch — never a live shard: ingestion builds the next epoch's
+fold afresh and leaves this one alone, so the snapshot shares it
+(with the pipeline's delta-base ring) instead of copying it.  Hence
 
 * readers never see a torn state: capture runs ``flush()`` first, so
-  the clone reflects exactly the ``epoch`` updates the counter claims,
+  the fold reflects exactly the ``epoch`` updates the counter claims,
   even under the process backend where ingestion is asynchronous;
-* readers never block writers: after the clone is taken, ingestion
-  proceeds against the live shards while queries run against the
-  frozen copy;
+* readers never block writers: ingestion proceeds against the live
+  shards while queries run against the frozen fold;
 * answers are reproducible: a query at epoch E equals the same query
   on an offline pipeline stopped at E (byte-identically for
   integer/modular-state structures; up to reassociation ulps for the
@@ -45,7 +45,9 @@ class Snapshot:
     Do not mutate the exposed :attr:`structure`; the query router runs
     state-advancing operations (e.g. L0 sample draws) on clones so the
     snapshot stays byte-frozen — that frozenness is what makes result
-    caching keyed by ``(epoch, query, args)`` provably safe.
+    caching keyed by ``(epoch, query, args)`` provably safe, and what
+    lets a captured snapshot share the pipeline's fold (and the delta
+    base retained for that epoch) without a copy.
     """
 
     __slots__ = ("_structure", "_epoch", "_source", "_token")
@@ -65,12 +67,14 @@ class Snapshot:
         """Freeze a running pipeline's merged state.
 
         ``flush()`` first: under the process backend ``updates_ingested``
-        counts *submitted* chunks, so the barrier guarantees the merged
-        clone contains every one of them before it is stamped with that
+        counts *submitted* chunks, so the barrier guarantees the fold
+        contains every one of them before it is stamped with that
         epoch.  (Serial flush is a no-op; submission is application.)
+        The snapshot holds the pipeline's memoized fold itself, not a
+        clone: the read-only contract below keeps it frozen.
         """
         pipeline.flush()
-        return cls(pipeline.merged(), pipeline.updates_ingested,
+        return cls(pipeline._folded(), pipeline.updates_ingested,
                    source="pipeline")
 
     @classmethod

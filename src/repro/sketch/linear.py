@@ -95,11 +95,12 @@ class LinearSketch:
         """A clone sharing the linear map but with independent counters.
 
         Hash objects are immutable after construction, so a shallow copy
-        plus fresh counter arrays is a correct deep-enough copy.
+        plus fresh counter arrays is a correct deep-enough copy.  The
+        shallow copy is a plain ``__dict__`` copy (what ``copy.copy``
+        does, minus its ``__reduce_ex__`` round trip).
         """
-        import copy as _copy
-
-        clone = _copy.copy(self)
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
         clone._replace_state([arr.copy() for arr in self._state_arrays()])
         return clone
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import (DELTA_BASE_RETENTION, FollowerPipeline,
-                          DeltaError, OutOfOrderDelta, ShardedPipeline,
-                          WrongBaseDelta, checkpoint as
-                          snapshot_structure)
+from repro.engine import (DELTA_BASE_RETENTION, FORMAT_VERSION,
+                          FollowerPipeline, DeltaError, OutOfOrderDelta,
+                          ShardedPipeline, WrongBaseDelta, checkpoint as
+                          snapshot_structure, params_of, state_arrays,
+                          state_digest)
+from repro.engine.delta import encode as encode_delta
 from repro.sketch import CountMin, CountSketch
 
 from _engine_cases import (SHARDABLE, SHARDABLE_IDS, random_turnstile,
@@ -145,6 +147,75 @@ class TestDeltaBases:
             assert epochs[0] not in leader.delta_epochs
             with pytest.raises(ValueError, match="retained"):
                 leader.checkpoint(since=epochs[0])
+
+
+class TestRetainedBases:
+    """Delta bases are the memoized fold's arrays, kept by reference,
+    each with the digest the previous delta already computed."""
+
+    @pytest.mark.parametrize("case", SHARDABLE, ids=SHARDABLE_IDS)
+    def test_retained_base_survives_later_epochs(self, case):
+        batches = _batches(4)
+        with _leader(case) as leader:
+            leader.ingest(*batches[0])
+            base = leader.checkpoint()
+            epoch = leader.updates_ingested
+            frozen = [np.array(a, copy=True)
+                      for a in state_arrays(leader.merged())]
+            for idx, dlt in batches[1:]:
+                leader.ingest(idx, dlt)
+                leader.merged()
+                leader.checkpoint(since=leader.delta_epochs[-1])
+            # The base at ``epoch`` still holds exactly that state, so a
+            # delta spanning every later batch restores the leader.
+            delta = leader.checkpoint(since=epoch)
+            leader_bytes = _merged_bytes(leader)
+            retained, _ = leader._delta_bases[epoch]
+            assert len(retained) == len(frozen)
+            for kept, copy in zip(retained, frozen):
+                assert kept.dtype == copy.dtype
+                assert kept.tobytes() == copy.tobytes()
+        with ShardedPipeline.restore(base, deltas=[delta]) as restored:
+            assert _merged_bytes(restored) == leader_bytes
+
+    @pytest.mark.parametrize("case", SHARDABLE, ids=SHARDABLE_IDS)
+    def test_frames_equal_encode_with_fresh_digests(self, case):
+        """Every ``checkpoint(since=)`` frame is byte for byte the frame
+        ``delta.encode`` builds from independent copies of both states
+        with freshly computed digests: from a base retained by a full
+        checkpoint, by a previous delta, and from an older epoch."""
+        batches = _batches(5)
+        copies = {}
+
+        def remember(pipeline):
+            copies[pipeline.updates_ingested] = [
+                np.array(a, copy=True)
+                for a in state_arrays(pipeline.merged())]
+
+        with _leader(case) as leader:
+            leader.ingest(*batches[0])
+            leader.checkpoint()
+            remember(leader)
+            plan = [lambda: leader.delta_epochs[-1],   # full-checkpoint base
+                    lambda: leader.delta_epochs[-1],   # previous delta's target
+                    lambda: leader.delta_epochs[0],    # an older base
+                    lambda: leader.delta_epochs[-1]]
+            for (idx, dlt), since in zip(batches[1:], plan):
+                leader.ingest(idx, dlt)
+                base_epoch = since()
+                frame = leader.checkpoint(since=base_epoch)
+                remember(leader)
+                folded = leader.merged()
+                meta = {"format": FORMAT_VERSION,
+                        "class": type(folded).__name__,
+                        "params": params_of(folded),
+                        "base_epoch": base_epoch,
+                        "epoch": leader.updates_ingested}
+                base = copies[base_epoch]
+                now = copies[leader.updates_ingested]
+                expected = encode_delta(meta, base, now, state_digest(base),
+                                        state_digest(now))
+                assert frame == expected
 
 
 class TestDeltaErrors:
@@ -334,6 +405,72 @@ class TestFollowerDecodesOnce:
                               compress="zlib")
         with pytest.raises(DeltaError, match="digest does not match"):
             FollowerPipeline(base).apply(forged)
+
+
+class TestFollowerCachedDigest:
+    """The follower hashes its state once per delta (to verify the
+    target); the base check reuses the previous apply's digest and
+    still rejects wrong-base and corrupted frames."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        import repro.engine.delta as delta_module
+
+        calls = []
+        real = delta_module.state_digest
+
+        def counting(arrays):
+            calls.append(1)
+            return real(arrays)
+
+        monkeypatch.setattr(delta_module, "state_digest", counting)
+        return calls
+
+    def test_one_hash_per_apply_after_the_first(self, digests):
+        base, chain, leader_bytes, _ = TestFollower()._stream(
+            SHARDABLE[0], parts=5)
+        follower = FollowerPipeline(base)
+        follower.apply(chain[0])
+        assert len(digests) == 2          # boot state unhashed: base + target
+        digests.clear()
+        assert follower.follow(chain[1:]) == len(chain) - 1
+        assert len(digests) == len(chain) - 1
+        assert snapshot_structure(follower.merged()) == leader_bytes
+
+    def test_cached_digest_rejects_wrong_base(self, digests):
+        base, chain = TestDeltaErrors()._base_and_chain(seed=5)
+        _, other_chain = TestDeltaErrors()._base_and_chain(seed=99)
+        follower = FollowerPipeline(base)
+        follower.apply(chain[0])
+        digests.clear()
+        # Same epochs, another stream's state: caught on the cached
+        # digest alone, before any hashing.
+        with pytest.raises(WrongBaseDelta):
+            follower.apply(other_chain[1])
+        assert digests == []
+        assert follower.apply(chain[1]) == follower.epoch
+
+    def test_cached_digest_rejects_corrupted_frame(self):
+        from repro.wire import decode_frame, encode_frame
+
+        base, chain = TestDeltaErrors()._base_and_chain(seed=5)
+        follower = FollowerPipeline(base)
+        follower.apply(chain[0])
+        before = snapshot_structure(follower.merged())
+        frame = decode_frame(chain[1])
+        sections = [np.array(section) for section in frame.sections]
+        sections[0].reshape(-1)[0] ^= 1
+        forged = encode_frame(frame.kind, frame.header, sections,
+                              compress="zlib")
+        with pytest.raises(DeltaError, match="digest does not match"):
+            follower.apply(forged)
+        # The failed apply left both the state and its cached digest
+        # alone: the genuine frame still chains on.
+        assert snapshot_structure(follower.merged()) == before
+        follower.apply(chain[1])
+        with ShardedPipeline.restore(base, deltas=chain) as restored:
+            assert snapshot_structure(follower.merged()) \
+                == _merged_bytes(restored)
 
 
 class TestDeltaProcessBackend:

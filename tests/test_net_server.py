@@ -17,8 +17,9 @@ import pytest
 
 from repro.cli import _service_structures
 from repro.engine import ShardedPipeline, checkpoint as snapshot_structure
+from repro.faults import ACK_DELAY, FaultPlan
 from repro.net import NetError, ReproClient, ServerThread, SocketFollower
-from repro.service import QueryService, ServiceStats
+from repro.service import QueryService, ServiceStats, Snapshot
 
 N = 256
 SEED = 7
@@ -179,6 +180,129 @@ class TestControlOps:
             for epoch in epochs:
                 answer = client.query("top", count=2, at=epoch)
                 assert answer.epoch == epoch
+
+
+class TestAckBeforeTurnover:
+    """An ingest is acked once its batch is applied and flushed; the
+    epoch turnover (snapshot capture with its prewarm, then the delta
+    broadcast) runs after the ack, still under the service lock."""
+
+    @staticmethod
+    def _patch_capture(monkeypatch, before):
+        """Run ``before()`` at the start of every snapshot capture."""
+        real = Snapshot.capture.__func__
+
+        def capture(cls, pipeline):
+            before()
+            return real(cls, pipeline)
+
+        monkeypatch.setattr(Snapshot, "capture", classmethod(capture))
+
+    def test_ack_reaches_the_client_before_capture(self, monkeypatch):
+        indices, deltas = _stream(10, length=48)
+        acked = threading.Event()
+        seen = []
+        with _service() as svc, ServerThread(svc) as server, \
+                ReproClient(server.host, server.port) as client:
+            # Capture blocks until the client holds its ack: under the
+            # old order (turnover, then ack) it would wait out the
+            # timeout and record False.
+            self._patch_capture(
+                monkeypatch, lambda: seen.append(acked.wait(timeout=10)))
+            reply = client.ingest(indices, deltas)
+            acked.set()
+            assert reply.result["epoch"] == 48
+            assert client.query("top", count=2, at=48).epoch == 48
+        assert seen == [True]
+
+    def test_failed_capture_keeps_the_ack(self, monkeypatch):
+        """The batch is applied and acked, the failure is counted, the
+        rid is in the dedup window, and the next query captures the
+        epoch."""
+        indices, deltas = _stream(11, length=24)
+        failures = [RuntimeError("capture failed")]
+
+        def fail_once():
+            if failures:
+                raise failures.pop()
+
+        with _service() as svc, ServerThread(svc) as server, \
+                ReproClient(server.host, server.port) as client:
+            client.request("ingest", {"rid": "peer:1"},
+                           sections=(indices[:16], deltas[:16]))
+            self._patch_capture(monkeypatch, fail_once)
+            ack = client.request("ingest", {"rid": "peer:2"},
+                                 sections=(indices[16:], deltas[16:]))
+            assert ack.result["epoch"] == 24
+            assert ack.result["epoch_before"] == 16
+            # The ping is served after the failed turnover released the
+            # lock, so the failure has been counted by then.
+            assert client.ping().meta["epoch"] == 24
+            assert failures == [] and svc.stats.errors == 1
+            assert client.query("top", count=2).epoch == 24
+            assert client.query("top", count=2, at=24).epoch == 24
+            retry = client.request("ingest", {"rid": "peer:2"},
+                                   sections=(indices[16:], deltas[16:]))
+            assert retry.result["epoch"] == 24
+            assert retry.result.get("deduped") is True
+            assert svc.pipeline.updates_ingested == 24
+            assert svc.stats.errors == 1
+
+    def test_every_ack_is_served_and_replicated(self):
+        """With a live follower and a second connection: each acked
+        epoch answers ``at=`` from the other connection, the follower
+        holds every acked epoch in order, and it ends byte-identical to
+        the daemon's checkpoint."""
+        indices, deltas = _stream(12, length=240)
+        with _service() as svc, ServerThread(svc) as server, \
+                ReproClient(server.host, server.port) as writer, \
+                ReproClient(server.host, server.port) as reader:
+            writer.ingest(indices[:40], deltas[:40])
+            with SocketFollower(server.host, server.port) as follower:
+                acked = [follower.base_epoch]
+                for lo in range(40, 240, 40):
+                    reply = writer.ingest(indices[lo:lo + 40],
+                                          deltas[lo:lo + 40])
+                    epoch = reply.result["epoch"]
+                    acked.append(epoch)
+                    answer = reader.query("point", index=int(indices[lo]),
+                                          at=epoch)
+                    assert answer.epoch == epoch
+                follower.wait_for_epoch(acked[-1], timeout=30)
+                assert follower.acked_epochs == tuple(acked)
+                assert follower.resyncs == 0
+                with ShardedPipeline.restore(reader.checkpoint()) as leader:
+                    assert snapshot_structure(leader.merged()) \
+                        == snapshot_structure(follower.merged())
+
+    def test_delayed_ack_waits_for_turnover_and_dedups(self):
+        """``ack.delay`` still holds the ack until the turnover is done
+        and the lock is released: another connection sees the epoch
+        captured and the follower holds its delta while the ack is
+        withheld, and a retry of the rid is answered from the dedup
+        window."""
+        indices, deltas = _stream(13, length=64)
+        plan = FaultPlan(seed=1, at={ACK_DELAY: (1,)}, ack_delay_s=3.0)
+        replies = []
+        with _service() as svc, \
+                ServerThread(svc, faults=plan) as server, \
+                ReproClient(server.host, server.port) as writer, \
+                ReproClient(server.host, server.port) as reader, \
+                SocketFollower(server.host, server.port) as follower:
+            sender = threading.Thread(target=lambda: replies.append(
+                writer.request("ingest", {"rid": "peer:1"},
+                               sections=(indices, deltas))))
+            sender.start()
+            follower.wait_for_epoch(64, timeout=30)
+            assert reader.query("top", count=2, at=64).epoch == 64
+            assert replies == []              # the ack is still withheld
+            sender.join(timeout=30)
+            assert replies[0].result["epoch"] == 64
+            retry = writer.request("ingest", {"rid": "peer:1"},
+                                   sections=(indices, deltas))
+            assert retry.result.get("deduped") is True
+            assert svc.pipeline.updates_ingested == 64
+            assert follower.acked_epochs == (0, 64)
 
 
 class TestServiceStatsSnapshot:

@@ -544,6 +544,61 @@ class TestSampleL0DecodeOnce:
             assert restored.query("sample_l0", count=4) == expected
 
 
+class TestSnapshotSharesTheFold:
+    """A captured snapshot is the pipeline's memoized fold, shared with
+    the delta-base ring rather than cloned; the router's clone-before-
+    mutate contract is what keeps every reader of it frozen."""
+
+    @staticmethod
+    def _service(cache_size):
+        pipe = ShardedPipeline(lambda: L0Sampler(2048, delta=0.1, seed=5),
+                               shards=2, chunk_size=256)
+        return QueryService(pipe, refresh_every=1, cache_size=cache_size)
+
+    def test_capture_shares_the_fold(self):
+        with _hh_pipeline() as pipe:
+            idx, dlt = _workload()
+            pipe.ingest(idx, dlt)
+            snap = Snapshot.capture(pipe)
+            assert snap.structure is pipe._folded()
+            assert checkpoint(snap.structure) == checkpoint(pipe.merged())
+
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    def test_sampling_leaves_checkpoint_bytes_unchanged(self, cache_size):
+        """``sample_l0`` on one service's snapshots — served directly
+        (no cache) or prewarmed at capture and then hit (cache) — must
+        not move that service's next delta or full checkpoint off those
+        of an identical service that is never queried."""
+        rng = np.random.default_rng(8)
+        batches = [(rng.choice(2048, size=4, replace=False),
+                    rng.integers(1, 5, size=4)) for _ in range(5)]
+        draws = []
+        with self._service(cache_size) as queried, \
+                self._service(cache_size=0) as quiet:
+            for svc in (queried, quiet):
+                svc.pipeline.checkpoint()
+            for indices, deltas in batches:
+                frames = []
+                for svc in (queried, quiet):
+                    since = svc.pipeline.updates_ingested
+                    svc.ingest(indices, deltas)
+                    snapshot = svc.current()       # capture (+ prewarm)
+                    if svc is queried:
+                        frozen = checkpoint(snapshot.structure)
+                        for _ in range(2):
+                            draws.extend(svc.query("sample_l0", count=3))
+                        assert checkpoint(snapshot.structure) == frozen
+                    frames.append((svc.pipeline.checkpoint(since=since),
+                                   svc.pipeline.checkpoint()))
+                assert frames[0] == frames[1]
+        # Draws from a support of two or more advance the choice RNG, a
+        # state array: a query run on the shared fold would show.
+        assert any(draw.diagnostics.get("support_size", 0) >= 2
+                   for draw in draws)
+        if cache_size:
+            assert queried.stats.prewarmed > 0
+
+
 class TestQueryService:
     def test_query_at_a_retained_epoch(self):
         with QueryService(_hh_pipeline(), refresh_every=1000,
