@@ -18,9 +18,11 @@ a :class:`QueryService`, the exact stack ``repro daemon`` runs):
 4. **L0 ingest with a follower** — the daemon's paper-structure serving
    path: ``L0Sampler`` batches of 4096 updates, a snapshot per batch
    and one live :class:`SocketFollower` taking every epoch's delta.
-   Each ack is sent before that epoch's turnover (capture, prewarm,
-   delta), so the ack p50/p99 time the apply alone.  Reported, not
-   floored: the old ack-after-turnover order is not kept to compare
+   The ack p50/p99 are the round trip of a closed loop: each ack is
+   sent before that epoch's turnover (capture, prewarm, delta), but
+   the next ingest waits on the service lock until the turnover is
+   done, and client, server and follower share one process.  Reported,
+   not floored: the old ack-after-turnover order is not kept to compare
    against.  The follower must end byte-identical.
 
 Run as a script to emit a machine-readable ``BENCH_net.json``:
@@ -312,8 +314,6 @@ def main(argv=None) -> int:
     parser.add_argument("--follower-updates", type=int, default=80_000)
     parser.add_argument("--batches", type=int, default=8,
                         help="follower catch-up chain length")
-    parser.add_argument("--l0-batches", type=int, default=64,
-                        help="L0 ingest-with-follower batches")
     parser.add_argument("--out", default="BENCH_net.json")
     args = parser.parse_args(argv)
 
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     ingest = ingest_experiment(args.universe, args.updates, args.batch)
     follower = follower_experiment(args.universe, args.follower_updates,
                                    args.batches)
-    l0_follower = l0_follower_experiment(batches=args.l0_batches)
+    l0_follower = l0_follower_experiment()
 
     print_table("E-NET: requests/s vs concurrent clients",
                 REQUEST_HEADER, _request_rows(requests))

@@ -627,7 +627,7 @@ class ShardedPipeline:
             frame = encode_frame(
                 KIND_PIPELINE, header, sections,
                 compress="none" if compress is None else compress)
-            self._remember_base(None)
+            self._remember_base(state_arrays(self._folded()), None)
             return frame
         base_epoch = int(since)
         base = self._delta_bases.get(base_epoch)
@@ -653,11 +653,12 @@ class ShardedPipeline:
         frame = encode_delta(
             meta, base_arrays, now_arrays, base_digest, now_digest,
             compress="zlib" if compress is None else compress)
-        self._remember_base(now_digest)
+        self._remember_base(now_arrays, now_digest)
         return frame
 
-    def _remember_base(self, digest: str | None) -> None:
-        """Retain the current merged state as a future delta base.
+    def _remember_base(self, arrays, digest: str | None) -> None:
+        """Retain ``arrays`` (the current fold's :func:`state_arrays`)
+        as a future delta base.
 
         The base is the memoized fold's own arrays, not a copy: nothing
         mutates a fold once built (ingestion builds the next epoch's
@@ -667,7 +668,7 @@ class ShardedPipeline:
         otherwise the first delta taken from this base computes it.
         """
         epoch = self.updates_ingested
-        self._delta_bases[epoch] = [state_arrays(self._folded()), digest]
+        self._delta_bases[epoch] = [arrays, digest]
         self._delta_bases.move_to_end(epoch)
         while len(self._delta_bases) > DELTA_BASE_RETENTION:
             self._delta_bases.popitem(last=False)

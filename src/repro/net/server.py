@@ -26,8 +26,10 @@ any other request is served.  The client does not wait for the
 turnover, and nothing else moves: acks form a total order, ``at=E``
 works for every later request on any connection, and a turnover
 failure is counted in ``stats.errors`` rather than answered (the ack,
-and its dedup entry, already exist; the next request's capture picks
-the epoch up).
+and its dedup entry, already exist).  A failed capture is retried by
+the next query's capture or, at the latest, before the next ingest is
+applied; only if that retry fails as well is the epoch never
+queryable with ``at=``.
 
 Replication invariant: while subscribers exist, *every* epoch advance
 broadcasts one delta frame under the same lock that applied it, so the
@@ -146,6 +148,9 @@ class ReproServer:
         self._dedup_window = int(dedup_window)
         #: rid -> the original ingest ack (bounded, LRU on replay).
         self._dedup: OrderedDict[str, dict] = OrderedDict()
+        #: The last turnover's capture failed: retry it before the next
+        #: ingest moves the epoch on.
+        self._capture_owed = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -372,6 +377,14 @@ class ReproServer:
                     self._dedup.move_to_end(rid)
                     return ({"epoch": cached["epoch"]},
                             dict(cached, deduped=True), ())
+            if self._capture_owed:
+                # The last turnover's capture failed: take it now,
+                # before this batch moves the epoch past it.
+                self._capture_owed = False
+                try:
+                    svc.current()
+                except Exception:
+                    svc.stats.errors += 1
             before = pipeline.updates_ingested
             count = svc.ingest(request.sections[0],
                                request.sections[1])
@@ -407,14 +420,20 @@ class ReproServer:
         boundary — snapshots otherwise only capture lazily on the next
         query, which would skip epochs.  A failing step is counted in
         ``stats.errors``, never answered: the ack already went out (and
-        sits in the dedup window), and the next request's ``current()``
-        captures the epoch instead.
+        sits in the dedup window).  A failed capture is owed: the next
+        query's ``current()`` takes it, or else the next ingest retries
+        it before applying its batch.  A failed broadcast needs no
+        retry: the next delta starts from the last epoch shipped.
         """
-        for step in (self.service.current, self._replicate):
-            try:
-                step()
-            except Exception:
-                self.service.stats.errors += 1
+        try:
+            self.service.current()
+        except Exception:
+            self.service.stats.errors += 1
+            self._capture_owed = True
+        try:
+            self._replicate()
+        except Exception:
+            self.service.stats.errors += 1
 
     # -- replication ---------------------------------------------------------
 

@@ -248,6 +248,31 @@ class TestAckBeforeTurnover:
             assert svc.pipeline.updates_ingested == 24
             assert svc.stats.errors == 1
 
+    def test_failed_capture_is_retried_before_the_next_ingest(
+            self, monkeypatch):
+        """With no query in between, the next ingest takes the owed
+        capture before applying its batch, so the failed epoch stays
+        queryable with ``at=``."""
+        indices, deltas = _stream(14, length=32)
+        failures = [RuntimeError("capture failed")]
+
+        def fail_once():
+            if failures:
+                raise failures.pop()
+
+        with _service() as svc, ServerThread(svc) as server, \
+                ReproClient(server.host, server.port) as client:
+            client.ingest(indices[:16], deltas[:16])
+            self._patch_capture(monkeypatch, fail_once)
+            assert client.ingest(indices[16:24],
+                                 deltas[16:24]).result["epoch"] == 24
+            assert client.ping().meta["epoch"] == 24
+            assert client.ingest(indices[24:],
+                                 deltas[24:]).result["epoch"] == 32
+            assert failures == [] and svc.stats.errors == 1
+            assert client.query("top", count=2, at=24).epoch == 24
+            assert client.query("top", count=2, at=32).epoch == 32
+
     def test_every_ack_is_served_and_replicated(self):
         """With a live follower and a second connection: each acked
         epoch answers ``at=`` from the other connection, the follower
